@@ -21,7 +21,6 @@
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "obs/json.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/decomposed_csr.hpp"
@@ -87,8 +86,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<BuilderTiming> rows{{"csr.from_coo"}, {"delta"},     {"sell"},
-                                  {"bcsr"},         {"decomposed"}, {"partition"},
-                                  {"fingerprint"}};
+                                  {"decomposed"},   {"partition"}, {"fingerprint"}};
   std::size_t sink = 0;
 
   for (const auto& nm : matrices) {
@@ -128,32 +126,25 @@ int main(int argc, char** argv) {
         reps, sink, [&] { return SellMatrix::from_csr(m, 8, 256, threads).bytes(); });
 
     rows[3].serial_seconds += time_best(
-        reps, sink, [&] { return BcsrMatrix::from_csr_serial(m, 4, 4).bytes(); });
-    rows[3].par1_seconds +=
-        time_best(reps, sink, [&] { return BcsrMatrix::from_csr(m, 4, 4, 1).bytes(); });
-    rows[3].parT_seconds += time_best(
-        reps, sink, [&] { return BcsrMatrix::from_csr(m, 4, 4, threads).bytes(); });
-
-    rows[4].serial_seconds += time_best(
         reps, sink, [&] { return DecomposedCsrMatrix::decompose_serial(m).bytes(); });
-    rows[4].par1_seconds += time_best(
+    rows[3].par1_seconds += time_best(
         reps, sink, [&] { return DecomposedCsrMatrix::decompose(m, 0, 1).bytes(); });
-    rows[4].parT_seconds += time_best(reps, sink, [&] {
+    rows[3].parT_seconds += time_best(reps, sink, [&] {
       return DecomposedCsrMatrix::decompose(m, 0, threads).bytes();
     });
 
-    rows[5].serial_seconds += time_best(
+    rows[4].serial_seconds += time_best(
         reps, sink, [&] { return partition_balanced_nnz(m, nparts, 1).size(); });
-    rows[5].par1_seconds += time_best(
+    rows[4].par1_seconds += time_best(
         reps, sink, [&] { return partition_balanced_nnz(m, nparts, 1).size(); });
-    rows[5].parT_seconds += time_best(
+    rows[4].parT_seconds += time_best(
         reps, sink, [&] { return partition_balanced_nnz(m, nparts, threads).size(); });
 
-    rows[6].serial_seconds += time_best(
+    rows[5].serial_seconds += time_best(
         reps, sink, [&] { return static_cast<std::size_t>(tuner::fingerprint(m, 1).hash); });
-    rows[6].par1_seconds += time_best(
+    rows[5].par1_seconds += time_best(
         reps, sink, [&] { return static_cast<std::size_t>(tuner::fingerprint(m, 1).hash); });
-    rows[6].parT_seconds += time_best(reps, sink, [&] {
+    rows[5].parT_seconds += time_best(reps, sink, [&] {
       return static_cast<std::size_t>(tuner::fingerprint(m, threads).hash);
     });
   }

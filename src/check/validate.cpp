@@ -264,82 +264,6 @@ void validate_sell(const SellArrays& a, Level effort) {
 }
 
 // ---------------------------------------------------------------------------
-// BCSR
-// ---------------------------------------------------------------------------
-
-void validate_bcsr(const BcsrArrays& a, Level effort) {
-  if (effort == Level::kOff) return;
-  if (a.nrows < 0 || a.ncols < 0 || a.nnz < 0) {
-    fail_v("bcsr.dims", std::to_string(a.nrows) + " x " + std::to_string(a.ncols) + ", nnz " +
-                            std::to_string(a.nnz));
-  }
-  if (a.r <= 0 || a.c <= 0) {
-    fail_v("bcsr.block_dims", std::to_string(a.r) + " x " + std::to_string(a.c));
-  }
-  const index_t nblock_rows = (a.nrows + a.r - 1) / a.r;
-  check_rowptr(a.block_rowptr, nblock_rows, "bcsr.block");
-  const auto nblocks = static_cast<std::size_t>(a.block_rowptr.back());
-  if (a.block_colind.size() != nblocks) {
-    fail_v("bcsr.colind.size", std::to_string(a.block_colind.size()) + " entries, want " +
-                                   std::to_string(nblocks));
-  }
-  const std::size_t slots =
-      nblocks * static_cast<std::size_t>(a.r) * static_cast<std::size_t>(a.c);
-  if (a.values.size() != slots) {
-    fail_v("bcsr.values.size", std::to_string(a.values.size()) + " entries, want blocks*r*c = " +
-                                   std::to_string(slots));
-  }
-  if (static_cast<std::size_t>(a.nnz) > slots) {
-    fail_v("bcsr.nnz.accounting", "nnz " + std::to_string(a.nnz) + " exceeds stored slots " +
-                                      std::to_string(slots));
-  }
-  if (effort < Level::kFull) return;
-  const index_t nblock_cols = a.c > 0 ? (a.ncols + a.c - 1) / a.c : 0;
-  for (index_t br = 0; br < nblock_rows; ++br) {
-    for (offset_t k = a.block_rowptr[static_cast<std::size_t>(br)];
-         k < a.block_rowptr[static_cast<std::size_t>(br) + 1]; ++k) {
-      const index_t bc = a.block_colind[static_cast<std::size_t>(k)];
-      if (bc < 0 || bc >= nblock_cols) {
-        fail_v("bcsr.colind.bounds",
-               "block row " + std::to_string(br) + " has block column " + std::to_string(bc));
-      }
-      if (k > a.block_rowptr[static_cast<std::size_t>(br)] &&
-          bc <= a.block_colind[static_cast<std::size_t>(k) - 1]) {
-        fail_v("bcsr.colind.sorted",
-               "block row " + std::to_string(br) + " block columns not strictly increasing");
-      }
-      // Slots that fall outside the matrix (edge blocks) must be padding
-      // zeros — a nonzero there would be phantom data to_csr() drops or,
-      // worse, a kernel reads.
-      for (index_t i = 0; i < a.r; ++i) {
-        for (index_t j = 0; j < a.c; ++j) {
-          const bool outside = br * a.r + i >= a.nrows || bc * a.c + j >= a.ncols;
-          if (!outside) continue;
-          const auto slot = static_cast<std::size_t>(k) * static_cast<std::size_t>(a.r) *
-                                static_cast<std::size_t>(a.c) +
-                            static_cast<std::size_t>(i) * static_cast<std::size_t>(a.c) +
-                            static_cast<std::size_t>(j);
-          if (a.values[slot] != 0.0) {
-            fail_v("bcsr.padding.zero", "block " + std::to_string(k) +
-                                            " has nonzero payload outside the matrix");
-          }
-        }
-      }
-    }
-  }
-  // Every stored nonzero must account for a source nonzero.
-  offset_t stored_nonzeros = 0;
-  for (value_t v : a.values) {
-    if (v != 0.0) ++stored_nonzeros;
-  }
-  if (stored_nonzeros > a.nnz) {
-    fail_v("bcsr.nnz.accounting", std::to_string(stored_nonzeros) +
-                                      " nonzero payload entries exceed source nnz " +
-                                      std::to_string(a.nnz));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Long-row decomposition
 // ---------------------------------------------------------------------------
 
@@ -537,12 +461,6 @@ void validate(const SellMatrix& m, Level effort) {
   a.chunk_len = chunk_len;
   a.chunk_off = chunk_off;
   validate_sell(a, effort);
-}
-
-void validate(const BcsrMatrix& m, Level effort) {
-  validate_bcsr({m.nrows(), m.ncols(), m.block_rows(), m.block_cols(), m.nnz(),
-                 m.block_rowptr(), m.block_colind(), m.values()},
-                effort);
 }
 
 void validate(const DecomposedCsrMatrix& m, Level effort) {

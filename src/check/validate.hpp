@@ -16,7 +16,7 @@
 // argument bounds the work: kCheap runs the O(rows) subset (sizes, fronts,
 // monotonicity, descriptor consistency), kFull adds the O(nnz) scans
 // (column bounds and ordering, delta reconstruction, SELL padding and
-// permutation bijectivity, BCSR payload accounting). kOff returns
+// permutation bijectivity). kOff returns
 // immediately — callers wire the build level through unconditionally.
 //
 // Validator guarantees are tabulated in DESIGN.md §11.
@@ -29,7 +29,6 @@
 
 #include "check/contract.hpp"
 #include "common/types.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
@@ -88,17 +87,6 @@ struct SellArrays {
   std::span<const value_t> values;
 };
 
-struct BcsrArrays {
-  index_t nrows = 0;
-  index_t ncols = 0;
-  index_t r = 0;
-  index_t c = 0;
-  offset_t nnz = 0;
-  std::span<const offset_t> block_rowptr;
-  std::span<const index_t> block_colind;
-  std::span<const value_t> values;
-};
-
 struct SymArrays {
   index_t nrows = 0;
   /// Nonzeros of the source matrix the storage claims to represent
@@ -129,7 +117,6 @@ struct DecomposedArrays {
 void validate_csr(const CsrArrays& a, Level effort = Level::kFull);
 void validate_delta(const DeltaArrays& a, Level effort = Level::kFull);
 void validate_sell(const SellArrays& a, Level effort = Level::kFull);
-void validate_bcsr(const BcsrArrays& a, Level effort = Level::kFull);
 void validate_decomposed(const DecomposedArrays& a, Level effort = Level::kFull);
 void validate_sym(const SymArrays& a, Level effort = Level::kFull);
 /// Ordered exact cover of [0, nrows).
@@ -143,7 +130,6 @@ void validate_partition(std::span<const RowRange> parts, index_t nrows,
 void validate(const CsrMatrix& m, Level effort = Level::kFull);
 void validate(const DeltaCsrMatrix& m, Level effort = Level::kFull);
 void validate(const SellMatrix& m, Level effort = Level::kFull);
-void validate(const BcsrMatrix& m, Level effort = Level::kFull);
 void validate(const DecomposedCsrMatrix& m, Level effort = Level::kFull);
 /// Additionally proves nnz conservation against the matrix that was
 /// decomposed (the split must partition the nonzeros exactly).
@@ -165,9 +151,6 @@ inline void validate(const DeltaArrays& a, Level effort = Level::kFull) {
 }
 inline void validate(const SellArrays& a, Level effort = Level::kFull) {
   validate_sell(a, effort);
-}
-inline void validate(const BcsrArrays& a, Level effort = Level::kFull) {
-  validate_bcsr(a, effort);
 }
 inline void validate(const DecomposedArrays& a, Level effort = Level::kFull) {
   validate_decomposed(a, effort);

@@ -121,8 +121,7 @@ void run_rows_blocked(const Prepared& p, RowRange r, ConstDenseBlockView x, Dens
 }
 
 /// One-shot partitioned driver (CSR or delta — the impl table decides):
-/// one partition per thread, same region shape as the historical
-/// spmv_csr_partitioned / spmv_delta_partitioned.
+/// one partition per thread, the region shape of spmm_csr_partitioned.
 void run_parts_blocked(const Prepared& p, ConstDenseBlockView x, DenseBlockView y,
                        value_t alpha, value_t beta) {
   const auto parts = std::span<const RowRange>{p.parts};

@@ -51,8 +51,9 @@ struct SpmvOptions {
 /// run() is bit-identical to the pre-block vector path.
 ///
 /// Two execution surfaces are exposed:
-///  - the one-shot `run()` opens its own parallel region per call (the
-///    historical entry point, kept for the benches and tests);
+///  - the one-shot `run()` opens its own parallel region per call — the
+///    entry point for every caller outside a persistent region (tuner,
+///    examples, benches, tests);
 ///  - the region-reentrant `run_local()` / `run_local_dot()` compute one
 ///    owned RowRange with no pragmas, so a persistent parallel region (the
 ///    solver engine, src/engine/) can drive whole solver (or block)

@@ -16,25 +16,30 @@
 // (rowptr/colind/values) is read ONCE per k operand columns — the SpMM
 // amortization of Saule/Kaya/Catalyurek (arXiv:1302.1078) — with the column
 // count register-blocked at compile time for k in {1, 2, 4, 8}; other widths
-// decompose greedily into those chunks (`*_rows_block_any`). The k = 1
-// instantiation delegates to the same scalar row bodies the historical
-// single-vector path compiled to, and alpha = 1, beta = 0 takes a branch to
-// the direct store, so the vector API (a width-1 block) is bit-identical to
-// the pre-block code.
+// decompose greedily into those chunks. The k = 1 instantiation delegates to
+// the same scalar row bodies the historical single-vector path compiled to,
+// and alpha = 1, beta = 0 takes a branch to the direct store, so the vector
+// API (a width-1 block) is bit-identical to the pre-block code.
 //
-// Two entry-point families exist per format:
-//  - `spmm_*` open their own OpenMP parallel region (one-shot calls);
-//  - `*_rows_block` / `*_rows_block_any` compute a single RowRange with no
-//    pragmas, so a caller that already owns a persistent parallel region
-//    (the solver engine) can drive them once per owned range without
-//    fork/join. The `*_dot` variants additionally fuse the dependent
-//    reduction w·y into the same row pass (single-vector by nature).
+// These templates are the building blocks of kernels::PreparedSpmv
+// (kernel_registry.hpp), the one execution entry for every KernelConfig:
+//  - `*_rows_block` compute a single RowRange with no pragmas; the registry
+//    drives them from its one-shot regions and from the solver engine's
+//    persistent region (no fork/join). The `*_dot` variants additionally
+//    fuse the dependent reduction w·y into the same row pass
+//    (single-vector by nature);
+//  - `spmm_decomposed` opens its own parallel regions (the decomposed
+//    one-shot path), and `spmm_csr_partitioned` is the plain partitioned
+//    driver it and the conventional vendor kernel (vendor/vendor_csr.hpp)
+//    share.
 #pragma once
 
 #include <omp.h>
 
+#include <algorithm>
 #include <array>
 #include <span>
+#include <vector>
 
 #include "kernels/block_view.hpp"
 #include "sparse/csr.hpp"
@@ -356,29 +361,6 @@ inline void csr_rows_block_any(const CsrView& a, ConstDenseBlockView x, DenseBlo
   }
 }
 
-/// Arbitrary-width driver over the delta format (see csr_rows_block_any).
-template <bool Vectorize>
-inline void delta_rows_block_any(const DeltaView& a, ConstDenseBlockView x, DenseBlockView y,
-                                 value_t alpha, value_t beta, RowRange r) {
-  index_t c = 0;
-  while (c < x.width) {
-    const index_t rem = x.width - c;
-    if (rem >= 8) {
-      delta_rows_block<8, Vectorize>(a, x.columns(c, 8), y.columns(c, 8), alpha, beta, r);
-      c += 8;
-    } else if (rem >= 4) {
-      delta_rows_block<4, Vectorize>(a, x.columns(c, 4), y.columns(c, 4), alpha, beta, r);
-      c += 4;
-    } else if (rem >= 2) {
-      delta_rows_block<2, Vectorize>(a, x.columns(c, 2), y.columns(c, 2), alpha, beta, r);
-      c += 2;
-    } else {
-      delta_rows_block<1, Vectorize>(a, x.columns(c, 1), y.columns(c, 1), alpha, beta, r);
-      c += 1;
-    }
-  }
-}
-
 /// Rows of y = alpha A x + beta y fused with the dependent partial
 /// reduction: returns sum over i in [r.begin, r.end) of w[i] * y[i] (the
 /// updated y). Each row result feeds the reduction in the same pass, so y is
@@ -444,75 +426,49 @@ void spmm_csr_partitioned(const CsrView& a, ConstDenseBlockView x, DenseBlockVie
   }
 }
 
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_partitioned(const CsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                          value_t alpha, value_t beta, std::span<const RowRange> parts) {
-  spmm_csr_partitioned<Vectorize, Unroll, Prefetch>(make_view(a), x, y, alpha, beta, parts);
-}
-
-/// Plain CSR with OpenMP dynamic (auto-like) self-scheduling over rows:
-/// Y = alpha A X + beta Y.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_dynamic(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
-                      value_t alpha, value_t beta) {
-  const index_t n = a.nrows;
-#pragma omp parallel for default(none) shared(a, x, y, alpha, beta, n) schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    csr_rows_block_any<Vectorize, Unroll, Prefetch>(a, x, y, alpha, beta,
-                                                    RowRange{i, i + 1});
-  }
-}
-
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_dynamic(const CsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                      value_t alpha, value_t beta) {
-  spmm_csr_dynamic<Vectorize, Unroll, Prefetch>(make_view(a), x, y, alpha, beta);
-}
-
-/// Delta-compressed CSR over row partitions: Y = alpha A X + beta Y.
-template <bool Vectorize>
-void spmm_delta_partitioned(const DeltaView& a, ConstDenseBlockView x, DenseBlockView y,
-                            value_t alpha, value_t beta, std::span<const RowRange> parts) {
-#pragma omp parallel for default(none) shared(a, x, y, alpha, beta, parts) schedule(static, 1)
-  for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(parts.size()); ++p) {
-    delta_rows_block_any<Vectorize>(a, x, y, alpha, beta, parts[static_cast<std::size_t>(p)]);
-  }
-}
-
-template <bool Vectorize>
-void spmm_delta_partitioned(const DeltaCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                            value_t alpha, value_t beta, std::span<const RowRange> parts) {
-  spmm_delta_partitioned<Vectorize>(make_view(a), x, y, alpha, beta, parts);
-}
-
 /// Decomposed CSR (IMB class): Y = alpha A X + beta Y with short rows over
 /// the partitioned kernel and each long row computed cooperatively by all
-/// threads, column by column, with an OpenMP reduction. The short-part pass
+/// threads, column by column: thread t sums the t-th static slice of the
+/// row into its own slot, and the slots are added in thread order. (An
+/// OpenMP reduction would add them in arrival order, so the same thread
+/// count could give different bits from run to run.) The short-part pass
 /// already deposited alpha*0 + beta*Y_old in the long-row slots (long rows
 /// are emptied in the short part), so the long-row store *adds* alpha*total
 /// to the slot instead of rescaling it by beta a second time.
 template <bool Vectorize, bool Unroll, bool Prefetch>
 void spmm_decomposed(const DecomposedCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
                      value_t alpha, value_t beta, std::span<const RowRange> parts) {
-  spmm_csr_partitioned<Vectorize, Unroll, Prefetch>(a.short_part(), x, y, alpha, beta, parts);
+  spmm_csr_partitioned<Vectorize, Unroll, Prefetch>(make_view(a.short_part()), x, y, alpha, beta,
+                                                    parts);
 
   const bool plain = alpha == 1.0 && beta == 0.0;
   const auto rowptr = a.long_rowptr();
   const auto colind = a.long_colind();
   const auto values = a.long_values();
   const auto long_rows = a.long_rows();
+  if (long_rows.empty()) return;
+  std::vector<value_t> partial(static_cast<std::size_t>(omp_get_max_threads()));
   for (std::size_t k = 0; k < long_rows.size(); ++k) {
     const auto b = rowptr[k];
     const auto e = rowptr[k + 1];
     const index_t row = long_rows[k];
     for (index_t c = 0; c < x.width; ++c) {
-      value_t total = 0.0;
-#pragma omp parallel for default(none) shared(values, colind, x, b, e, c) \
-    reduction(+ : total) schedule(static)
-      for (offset_t j = b; j < e; ++j) {
-        const auto idx = static_cast<std::size_t>(j);
-        total += values[idx] * x.at(colind[idx], c);
+      std::fill(partial.begin(), partial.end(), 0.0);
+#pragma omp parallel default(none) shared(values, colind, x, b, e, c, partial)
+      {
+        const auto t = static_cast<offset_t>(omp_get_thread_num());
+        const auto nt = static_cast<offset_t>(omp_get_num_threads());
+        const offset_t lo = b + (e - b) * t / nt;
+        const offset_t hi = b + (e - b) * (t + 1) / nt;
+        value_t sum = 0.0;
+        for (offset_t j = lo; j < hi; ++j) {
+          const auto idx = static_cast<std::size_t>(j);
+          sum += values[idx] * x.at(colind[idx], c);
+        }
+        partial[static_cast<std::size_t>(t)] = sum;
       }
+      value_t total = 0.0;
+      for (const value_t p : partial) total += p;
       value_t& yv = y.at(row, c);
       yv = plain ? total : alpha * total + yv;
     }

@@ -1,25 +1,10 @@
 #include "kernels/spmv_sym.hpp"
 
-#include <omp.h>
-
 #include <stdexcept>
 
 #include "common/types.hpp"
-#include "sparse/build.hpp"
 
 namespace sparta::kernels {
-
-namespace {
-
-/// Largest specialized chunk (8/4/2/1) not exceeding `rem`.
-index_t pow2_chunk(index_t rem) {
-  if (rem >= 8) return 8;
-  if (rem >= 4) return 4;
-  if (rem >= 2) return 2;
-  return 1;
-}
-
-}  // namespace
 
 void sym_scatter_any(const SymView& a, const SymSchedule& sched,
                      value_t* SPARTA_RESTRICT scratch, std::size_t part,
@@ -107,48 +92,6 @@ double sym_reduce_dot(const SymSchedule& sched, const value_t* SPARTA_RESTRICT s
     acc += w[k] * yi;
   }
   return acc;
-}
-
-void spmm_sym(const SymCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-              value_t beta, int threads) {
-  const int nthreads = build::resolve_threads(threads);
-  const SymView view = make_view(a);
-  const auto parts = partition_equal_rows(a.nrows(), nthreads);
-  const index_t cap = pow2_chunk(x.width);
-  const SymSchedule sched = plan_sym_schedule(view, parts, cap);
-  aligned_vector<value_t> scratch(sched.scratch_elems);
-  value_t* const scratch_p = scratch.data();
-  const auto nparts = sched.parts.size();
-  const index_t width = x.width;
-
-#pragma omp parallel default(none)                                                     \
-    shared(view, sched, scratch_p, x, y, alpha, beta, nthreads, nparts, width) \
-    num_threads(nthreads)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    const auto stride = static_cast<std::size_t>(nthreads);
-    index_t c = 0;
-    while (c < width) {
-      const index_t k = pow2_chunk(width - c);
-      for (std::size_t p = tid; p < nparts; p += stride) {
-        sym_scatter_any(view, sched, scratch_p, p, x.columns(c, k));
-      }
-#pragma omp barrier
-      for (std::size_t p = tid; p < nparts; p += stride) {
-        sym_reduce_any(sched, scratch_p, p, y.columns(c, k), alpha, beta);
-      }
-      c += k;
-      // Order each chunk's reduce reads against the next chunk's scatter,
-      // which re-zeroes the same scratch columns.
-#pragma omp barrier
-    }
-  }
-}
-
-void spmv_sym(const SymCsrMatrix& a, std::span<const value_t> x, std::span<value_t> y,
-              int threads) {
-  spmm_sym(a, ConstDenseBlockView::from_vector(x), DenseBlockView::from_vector(y), 1.0, 0.0,
-           threads);
 }
 
 }  // namespace sparta::kernels

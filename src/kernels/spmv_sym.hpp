@@ -30,9 +30,9 @@
 // allocated/first-touched once at prepare time (kernel_registry) with
 // `cap` columns per row; a K-column pass uses columns [0, K) of each window
 // row, so one allocation serves every chunk of the greedy width
-// decomposition. Like the other formats, `spmm_sym`/`spmv_sym` open their
-// own parallel region while the *_block kernels are region-reentrant
-// (no pragmas beyond simd) for the solver engine's persistent region.
+// decomposition. The *_block kernels are region-reentrant (no pragmas
+// beyond simd): kernels::PreparedSpmv drives them from its one-shot region
+// and the solver engine from its persistent region.
 #pragma once
 
 #include <array>
@@ -181,15 +181,5 @@ void sym_reduce_any(const SymSchedule& sched, const value_t* SPARTA_RESTRICT scr
 double sym_reduce_dot(const SymSchedule& sched, const value_t* SPARTA_RESTRICT scratch,
                       std::size_t part, std::span<value_t> y, std::span<const value_t> w,
                       value_t alpha = 1.0, value_t beta = 0.0);
-
-/// One-shot Y = alpha A X + beta Y over symmetric storage (own parallel
-/// region, equal-rows partition, scratch allocated internally). `threads` = 0
-/// means omp_get_max_threads().
-void spmm_sym(const SymCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-              value_t beta, int threads = 0);
-
-/// Single-vector wrapper: y = A x.
-void spmv_sym(const SymCsrMatrix& a, std::span<const value_t> x, std::span<value_t> y,
-              int threads = 0);
 
 }  // namespace sparta::kernels

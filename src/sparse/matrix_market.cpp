@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -48,17 +50,25 @@ CooMatrix read_coo(std::istream& is) {
   }
 
   // Skip comments, find the size line.
-  long long nrows = -1, ncols = -1, nnz = -1;
+  long long nrows = 0, ncols = 0, nnz = 0;
+  bool sized = false;
   while (std::getline(is, line)) {
     if (line.empty() || line[0] == '%') continue;
     std::istringstream ss{line};
     if (!(ss >> nrows >> ncols >> nnz)) fail("bad size line");
+    sized = true;
     break;
   }
-  if (nrows < 0) fail("missing size line");
+  if (!sized) fail("missing size line");
+  // Everything the size line claims is checked before it sizes an
+  // allocation, so a malformed header stops here with a named error.
+  if (nrows < 0 || ncols < 0 || nnz < 0) fail("negative size in size line: " + line);
   if (nrows > std::numeric_limits<index_t>::max() || ncols > std::numeric_limits<index_t>::max()) {
     fail("matrix dimensions exceed 32-bit index range");
   }
+  // Both factors fit in 31 bits, so the product cannot overflow 64 bits.
+  if (nnz > nrows * ncols) fail("more entries than matrix positions: " + line);
+  if (symmetric && nrows != ncols) fail("symmetric file with non-square size: " + line);
 
   // Entry parsing avoids an istringstream per line (strtoll/strtod walk the
   // line buffer directly) and grows nothing: the triplet list is reserved to
@@ -83,6 +93,7 @@ CooMatrix read_coo(std::istream& is) {
     if (!pattern) {
       v = std::strtod(p, &end);
       if (end == p) fail("missing value: " + line);
+      if (!std::isfinite(v)) fail("non-finite value: " + line);
     }
     if (r < 1 || r > nrows || c < 1 || c > ncols) fail("entry out of range: " + line);
     // The format stores only the lower triangle of a symmetric matrix

@@ -9,7 +9,7 @@
 #include "common/timer.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_csr.hpp"
+#include "kernels/spmv_kernels.hpp"
 #include "kernels/spmv_timed.hpp"
 
 namespace sparta {
@@ -48,7 +48,9 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
   PerfBounds b;
 
   // Baseline with per-thread timing (warm-up iteration excluded).
-  kernels::spmv_csr(m, x, y, parts);
+  kernels::spmm_csr_partitioned<false, false, false>(
+      kernels::make_view(m), kernels::ConstDenseBlockView::from_vector(x),
+      kernels::DenseBlockView::from_vector(y), 1.0, 0.0, parts);
   const auto timed = kernels::spmv_csr_timed(m, x, y, parts, options.iterations);
   b.t_csr_seconds = timed.seconds;
   b.thread_seconds = timed.thread_seconds;

@@ -23,7 +23,6 @@
 #include "common/prng.hpp"
 #include "common/types.hpp"
 #include "gen/generators.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
@@ -132,30 +131,6 @@ struct SellCopy {
   }
 };
 
-struct BcsrCopy {
-  index_t nrows = 0, ncols = 0, r = 0, c = 0;
-  offset_t nnz = 0;
-  std::vector<offset_t> block_rowptr;
-  std::vector<index_t> block_colind;
-  std::vector<value_t> values;
-
-  static BcsrCopy of(const BcsrMatrix& m) {
-    BcsrCopy b;
-    b.nrows = m.nrows();
-    b.ncols = m.ncols();
-    b.r = m.block_rows();
-    b.c = m.block_cols();
-    b.nnz = m.nnz();
-    b.block_rowptr.assign(m.block_rowptr().begin(), m.block_rowptr().end());
-    b.block_colind.assign(m.block_colind().begin(), m.block_colind().end());
-    b.values.assign(m.values().begin(), m.values().end());
-    return b;
-  }
-  check::BcsrArrays view() const {
-    return {nrows, ncols, r, c, nnz, block_rowptr, block_colind, values};
-  }
-};
-
 struct DecompCopy {
   const CsrMatrix* short_part = nullptr;
   index_t threshold = 0;
@@ -208,7 +183,6 @@ TEST(Accept, AllFactoriesProduceValidStructures) {
   EXPECT_NO_THROW(check::validate(*delta, Level::kFull));
 
   EXPECT_NO_THROW(check::validate(SellMatrix::from_csr(powerlaw_m(), 4, 64), Level::kFull));
-  EXPECT_NO_THROW(check::validate(BcsrMatrix::from_csr(banded_m(), 4, 4), Level::kFull));
 
   const auto decomp = DecomposedCsrMatrix::decompose(circuit_m(), 20);
   EXPECT_NO_THROW(check::validate(decomp, Level::kFull));
@@ -224,7 +198,6 @@ TEST(Accept, AllFactoriesProduceValidStructures) {
 TEST(Accept, CheapLevelAcceptsValidStructures) {
   EXPECT_NO_THROW(check::validate(powerlaw_m(), Level::kCheap));
   EXPECT_NO_THROW(check::validate(SellMatrix::from_csr(powerlaw_m(), 8, 128), Level::kCheap));
-  EXPECT_NO_THROW(check::validate(BcsrMatrix::from_csr(banded_m(), 2, 2), Level::kCheap));
 }
 
 TEST(Accept, OffLevelIgnoresCorruptArrays) {
@@ -422,68 +395,6 @@ TEST(RejectSell, NamedViolations) {
     ASSERT_TRUE(found) << "matrix has no SELL padding; pick a more skewed generator";
   }
   expect_violation("sell.padding.zero", [&] { check::validate_sell(c.view()); });
-}
-
-TEST(RejectBcsr, NamedViolations) {
-  // 302 rows with 4x4 blocks: the last block row hangs over the edge, so
-  // out-of-matrix padding slots exist.
-  const auto bcsr = BcsrMatrix::from_csr(banded_m(), 4, 4);
-  const auto base = BcsrCopy::of(bcsr);
-
-  auto c = base;
-  c.r = 0;
-  expect_violation("bcsr.block_dims", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  c.block_rowptr[0] = 1;
-  expect_violation("bcsr.block.rowptr.front", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  c.block_colind.pop_back();
-  expect_violation("bcsr.colind.size", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  c.values.pop_back();
-  expect_violation("bcsr.values.size", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  c.nnz = static_cast<offset_t>(c.values.size()) + 1;
-  expect_violation("bcsr.nnz.accounting", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  c.block_colind[0] = (c.ncols + c.c - 1) / c.c;
-  expect_violation("bcsr.colind.bounds", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  {
-    // A block row with >= 2 blocks exists: the band spans several blocks.
-    std::size_t br = 0;
-    while (br + 1 < c.block_rowptr.size() &&
-           c.block_rowptr[br + 1] - c.block_rowptr[br] < 2) {
-      ++br;
-    }
-    ASSERT_LT(br + 1, c.block_rowptr.size());
-    const auto k = static_cast<std::size_t>(c.block_rowptr[br]);
-    c.block_colind[k + 1] = c.block_colind[k];
-  }
-  expect_violation("bcsr.colind.sorted", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  {
-    // Scribble into a slot whose row falls outside the matrix: rows 302/303
-    // of the ragged final block row.
-    const index_t nbr = (c.nrows + c.r - 1) / c.r;
-    ASSERT_GT(nbr * c.r, c.nrows) << "matrix divides evenly; no edge padding to corrupt";
-    const auto k = static_cast<std::size_t>(c.block_rowptr[static_cast<std::size_t>(nbr) - 1]);
-    const auto slot = k * static_cast<std::size_t>(c.r) * static_cast<std::size_t>(c.c) +
-                      static_cast<std::size_t>(c.r - 1) * static_cast<std::size_t>(c.c);
-    c.values[slot] = 1.0;
-  }
-  expect_violation("bcsr.padding.zero", [&] { check::validate_bcsr(c.view()); });
-
-  c = base;
-  c.nnz = 0;  // stored nonzero payload now exceeds the claimed source nnz
-  expect_violation("bcsr.nnz.accounting", [&] { check::validate_bcsr(c.view()); });
 }
 
 TEST(RejectDecomposed, NamedViolations) {

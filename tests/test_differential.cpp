@@ -1,8 +1,8 @@
 // Property-based differential harness: several hundred PRNG-seeded matrices
 // drawn from the generator families behind gen::suite, each pushed through
 // every format build + kernel the registry can select — plain/vectorized/
-// delta/decomposed CSR via PreparedSpmv, SELL-C-sigma, BCSR, and symmetric
-// storage — at operand widths 1/2/4/8, and compared against a naive COO
+// delta/decomposed CSR and symmetric storage via PreparedSpmv, and
+// SELL-C-sigma — at operand widths 1/2/4/8, and compared against a naive COO
 // reference evaluated in triplet order (a computation path none of the
 // kernels share).
 //
@@ -26,11 +26,8 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_sell.hpp"
-#include "kernels/spmv_sym.hpp"
 #include "sim/kernel_model.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/sell.hpp"
-#include "sparse/sym_csr.hpp"
 
 namespace sparta {
 namespace {
@@ -198,23 +195,20 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
       }
     }
 
-    // BCSR (2x2 and 3x3 blocks) through its reference kernel.
-    for (const index_t blk : {2, 3}) {
-      const BcsrMatrix bcsr = BcsrMatrix::from_csr(m, blk, blk, 4);
-      aligned_vector<value_t> y_bcsr(rows, -7.0);
-      spmv_bcsr_reference(bcsr, x, y_bcsr);
-      expect_close(y_bcsr, want, seed, "bcsr" + std::to_string(blk));
-    }
-
-    // Symmetric storage over the symmetrized twin, widths 1/2/4/8.
+    // Symmetric storage over the symmetrized twin, widths 1/2/4/8, each
+    // prepared for its width so the K-column scatter/reduce kernels run.
     const CsrMatrix ms = symmetrized(m, seed ^ 0x517);
-    const SymCsrMatrix sym = SymCsrMatrix::build(ms, 4);
+    sim::KernelConfig symc;
+    symc.symmetric = true;
     for (const int k : kWidths) {
+      const kernels::PreparedSpmv sym{
+          ms, kernels::SpmvOptions{.config = symc, .threads = 4, .block_width = k}};
+      ASSERT_TRUE(sym.symmetric_applied()) << "seed " << seed;
       const auto kk = static_cast<std::size_t>(k);
       const auto xs = random_vector(rows * kk, seed ^ (0x5f3u + static_cast<std::uint64_t>(k)));
       aligned_vector<value_t> ys(rows * kk, -7.0);
-      kernels::spmm_sym(sym, kernels::ConstDenseBlockView{xs.data(), ms.ncols(), k, k},
-                        kernels::DenseBlockView{ys.data(), ms.nrows(), k, k}, 1.0, 0.0, 4);
+      sym.run(kernels::ConstDenseBlockView{xs.data(), ms.ncols(), k, k},
+              kernels::DenseBlockView{ys.data(), ms.nrows(), k, k});
       for (std::size_t c = 0; c < kk; ++c) {
         aligned_vector<value_t> xc(rows), yc(rows);
         for (std::size_t r = 0; r < rows; ++r) xc[r] = xs[r * kk + c];

@@ -1,20 +1,21 @@
-// Correctness tests for every real host kernel: each optimized variant must
-// reproduce the reference SpMV bit-for-bit-close on a battery of matrix
-// families, and the registry must dispatch every KernelConfig the tuner can
-// emit (all 15 sweep sets x schedules).
+// Correctness tests for every real host kernel: each optimized variant,
+// prepared through PreparedSpmv, must reproduce the reference SpMV
+// bit-for-bit-close on a battery of matrix families at several partition
+// counts; each kernel keeps its stated determinism contract (DESIGN.md §16);
+// and the registry must dispatch every KernelConfig the tuner can emit (all
+// 15 sweep sets x schedules).
 #include <gtest/gtest.h>
 
 #include <omp.h>
+
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_csr.hpp"
-#include "kernels/spmv_decomposed.hpp"
-#include "kernels/spmv_delta.hpp"
-#include "kernels/spmv_prefetch.hpp"
-#include "kernels/spmv_unrolled.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace sparta {
@@ -39,116 +40,185 @@ struct KernelMatrixCase {
   CsrMatrix (*make)();
 };
 
-class KernelCorrectness : public ::testing::TestWithParam<KernelMatrixCase> {
- protected:
-  void SetUp() override {
-    matrix_ = GetParam().make();
-    x_ = random_vector(static_cast<std::size_t>(matrix_.ncols()), 1234);
-    expected_.resize(static_cast<std::size_t>(matrix_.nrows()));
-    spmv_reference(matrix_, x_, expected_);
-    parts_ = partition_balanced_nnz(matrix_, 4);
-  }
-
-  CsrMatrix matrix_;
-  aligned_vector<value_t> x_;
-  aligned_vector<value_t> expected_;
-  std::vector<RowRange> parts_;
+struct KernelConfigCase {
+  const char* name;
+  sim::KernelConfig config;
+  double tol;
 };
 
-TEST_P(KernelCorrectness, BaselineCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-12);
+sim::KernelConfig make_config(bool vec, bool unroll, bool pf, bool delta, bool decomp,
+                              sim::Schedule schedule = sim::Schedule::kStaticNnzBalanced) {
+  sim::KernelConfig c;
+  c.vectorized = vec;
+  c.unrolled = unroll;
+  c.prefetch = pf;
+  c.delta = delta;
+  c.decomposed = decomp;
+  c.schedule = schedule;
+  return c;
 }
 
-TEST_P(KernelCorrectness, VectorizedCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_vectorized(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-10);
-}
+// One entry per host kernel of the optimization pool. Reassociating kernels
+// (SIMD, unrolled, cooperative long rows) get the 1e-10 tolerance; the
+// scalar ones reproduce the reference order and get 1e-12.
+const KernelConfigCase kKernelConfigs[] = {
+    {"base", make_config(false, false, false, false, false), 1e-12},
+    {"vec", make_config(true, false, false, false, false), 1e-10},
+    {"pf", make_config(false, false, true, false, false), 1e-12},
+    {"vec_unroll", make_config(true, true, false, false, false), 1e-10},
+    {"vec_unroll_pf", make_config(true, true, true, false, false), 1e-10},
+    {"dynamic", make_config(false, false, false, false, false, sim::Schedule::kDynamicChunks),
+     1e-12},
+    {"delta", make_config(false, false, false, true, false), 1e-12},
+    {"decomposed", make_config(false, false, false, false, true), 1e-10},
+    {"decomposed_vec", make_config(true, false, false, false, true), 1e-10},
+};
 
-TEST_P(KernelCorrectness, PrefetchCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_prefetch(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-12);
-}
+const KernelMatrixCase kMatrixFamilies[] = {
+    {"stencil5", [] { return gen::stencil5(25, 20); }},
+    {"banded", [] { return gen::banded(1500, 80, 9, 301); }},
+    {"fem", [] { return gen::fem_like(1200, 5, 7, 250, 302); }},
+    {"random", [] { return gen::random_uniform(900, 15, 303); }},
+    {"powerlaw", [] { return gen::powerlaw(2000, 1.7, 300, 304); }},
+    {"circuit", [] { return gen::circuit_like(1800, 3, 4, 1500, 305); }},
+    {"diagonal", [] { return gen::diagonal(777); }},
+    {"denserows", [] { return gen::dense_rows_wide(300, 80, 306); }},
+    {"empty_rows",
+     [] {
+       CooMatrix coo{500, 500};
+       coo.add(0, 1, 2.0);
+       coo.add(499, 0, -1.0);
+       coo.add(250, 250, 3.0);
+       return CsrMatrix::from_coo(coo);
+     }},
+};
 
-TEST_P(KernelCorrectness, UnrolledCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_unrolled(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-10);
-}
+class KernelCorrectness
+    : public ::testing::TestWithParam<std::tuple<KernelMatrixCase, KernelConfigCase>> {};
 
-TEST_P(KernelCorrectness, UnrolledPrefetchCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_unrolled_prefetch(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-10);
-}
-
-TEST_P(KernelCorrectness, AutoScheduledCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_auto(matrix_, x_, y);
-  expect_near(y, expected_, 1e-12);
-}
-
-TEST_P(KernelCorrectness, DeltaCsrWhenCompressible) {
-  const auto d = DeltaCsrMatrix::compress(matrix_);
-  if (!d.has_value()) GTEST_SKIP() << "matrix not delta-compressible";
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_delta(*d, x_, y, parts_);
-  expect_near(y, expected_, 1e-12);
-}
-
-TEST_P(KernelCorrectness, DecomposedCsr) {
-  const auto d = DecomposedCsrMatrix::decompose(matrix_, 64);
-  const auto short_parts = partition_balanced_nnz(d.short_part(), 4);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_decomposed(d, x_, y, short_parts);
-  expect_near(y, expected_, 1e-10);
-}
-
-TEST_P(KernelCorrectness, DecomposedVectorizedCsr) {
-  const auto d = DecomposedCsrMatrix::decompose(matrix_, 64);
-  const auto short_parts = partition_balanced_nnz(d.short_part(), 4);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_decomposed_vectorized(d, x_, y, short_parts);
-  expect_near(y, expected_, 1e-10);
-}
-
-TEST_P(KernelCorrectness, SingleThreadPartitionAlsoWorks) {
-  const auto one = partition_balanced_nnz(matrix_, 1);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr(matrix_, x_, y, one);
-  expect_near(y, expected_, 1e-12);
-}
-
-TEST_P(KernelCorrectness, ManyThreadPartitionAlsoWorks) {
-  const auto many = partition_balanced_nnz(matrix_, 37);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr(matrix_, x_, y, many);
-  expect_near(y, expected_, 1e-12);
+// One partition, one per core, and many more partitions than cores (37)
+// must all reproduce the reference.
+TEST_P(KernelCorrectness, MatchesReferenceAtEveryPartitionCount) {
+  const auto& [family, kc] = GetParam();
+  const CsrMatrix m = family.make();
+  const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 1234);
+  aligned_vector<value_t> want(static_cast<std::size_t>(m.nrows()));
+  spmv_reference(m, x, want);
+  for (const int threads : {1, 4, 37}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const kernels::PreparedSpmv prepared{
+        m, kernels::SpmvOptions{.config = kc.config, .threads = threads}};
+    aligned_vector<value_t> y(want.size(), -7.0);
+    prepared.run(x, y);
+    expect_near(y, want, kc.tol);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Families, KernelCorrectness,
-    ::testing::Values(
-        KernelMatrixCase{"stencil5", [] { return gen::stencil5(25, 20); }},
-        KernelMatrixCase{"banded", [] { return gen::banded(1500, 80, 9, 301); }},
-        KernelMatrixCase{"fem", [] { return gen::fem_like(1200, 5, 7, 250, 302); }},
-        KernelMatrixCase{"random", [] { return gen::random_uniform(900, 15, 303); }},
-        KernelMatrixCase{"powerlaw", [] { return gen::powerlaw(2000, 1.7, 300, 304); }},
-        KernelMatrixCase{"circuit", [] { return gen::circuit_like(1800, 3, 4, 1500, 305); }},
-        KernelMatrixCase{"diagonal", [] { return gen::diagonal(777); }},
-        KernelMatrixCase{"denserows", [] { return gen::dense_rows_wide(300, 80, 306); }},
-        KernelMatrixCase{"empty_rows",
-                         [] {
-                           CooMatrix coo{500, 500};
-                           coo.add(0, 1, 2.0);
-                           coo.add(499, 0, -1.0);
-                           coo.add(250, 250, 3.0);
-                           return CsrMatrix::from_coo(coo);
-                         }}),
-    [](const auto& info) { return std::string{info.param.name}; });
+    FamiliesTimesKernels, KernelCorrectness,
+    ::testing::Combine(::testing::ValuesIn(kMatrixFamilies), ::testing::ValuesIn(kKernelConfigs)),
+    [](const auto& info) {
+      return std::string{std::get<0>(info.param).name} + "_" + std::get<1>(info.param).name;
+    });
+
+// --- Determinism contract (DESIGN.md §16) ----------------------------------
+
+// Sets the OpenMP team size for one scope: the one-shot drivers open their
+// parallel regions with the default team, so a thread count under test must
+// set both it and SpmvOptions::threads.
+class TeamSize {
+ public:
+  explicit TeamSize(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~TeamSize() { omp_set_num_threads(saved_); }
+  TeamSize(const TeamSize&) = delete;
+  TeamSize& operator=(const TeamSize&) = delete;
+
+ private:
+  int saved_;
+};
+
+// y = A X at operand width k, prepared and run with `threads` threads.
+aligned_vector<value_t> run_at(const CsrMatrix& m, const sim::KernelConfig& cfg, int threads,
+                               int k, std::span<const value_t> xs) {
+  const TeamSize team{threads};
+  const kernels::PreparedSpmv prepared{
+      m, kernels::SpmvOptions{.config = cfg, .threads = threads, .block_width = k}};
+  aligned_vector<value_t> ys(static_cast<std::size_t>(m.nrows()) * static_cast<std::size_t>(k),
+                             -7.0);
+  prepared.run(kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
+               kernels::DenseBlockView{ys.data(), m.nrows(), k, k});
+  return ys;
+}
+
+void expect_bitwise(std::span<const value_t> got, std::span<const value_t> want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << ": not bit-identical at index " << i;
+  }
+}
+
+// Row-owned kernels compute each row of Y in one fixed-order pass by
+// whichever thread owns it, so the output is independent of the partition
+// and the team size: bitwise identical at every thread count.
+TEST(KernelDeterminism, RowOwnedKernelsAreBitwiseAcrossThreadCounts) {
+  const CsrMatrix m = gen::powerlaw(20000, 1.7, 2000, 330);
+  const sim::KernelConfig row_owned[] = {
+      make_config(false, false, false, false, false),
+      make_config(true, false, false, false, false),
+      make_config(false, false, true, false, false),
+      make_config(true, true, false, false, false),
+      make_config(true, true, true, false, false),
+      make_config(false, false, false, false, false, sim::Schedule::kDynamicChunks),
+      make_config(false, false, false, false, false, sim::Schedule::kStaticRows),
+      make_config(false, false, false, true, false),
+      make_config(true, false, false, true, false),
+  };
+  for (const int k : {1, 4}) {
+    const auto xs = random_vector(static_cast<std::size_t>(m.ncols()) * static_cast<std::size_t>(k),
+                                  331 + static_cast<std::uint64_t>(k));
+    for (const auto& cfg : row_owned) {
+      const auto want = run_at(m, cfg, 1, k, xs);
+      for (const int threads : {2, 3, 4, 7}) {
+        expect_bitwise(run_at(m, cfg, threads, k, xs), want,
+                       cfg.describe() + " k" + std::to_string(k) + " at " +
+                           std::to_string(threads) + " threads");
+      }
+    }
+  }
+}
+
+// Decomposed sums each long row cooperatively and SymCsr reduces mirror
+// contributions per partition: both reassociate by thread count, so the
+// contract is only repeatability at a fixed thread count.
+TEST(KernelDeterminism, DecomposedAndSymmetricRepeatAtAFixedThreadCount) {
+  const CsrMatrix skewed = gen::powerlaw(20000, 1.7, 2000, 332);
+  const CsrMatrix spd = gen::stencil5(100, 100);
+  sim::KernelConfig sym;
+  sym.symmetric = true;
+  const std::pair<const CsrMatrix*, sim::KernelConfig> cases[] = {
+      {&skewed, make_config(false, false, false, false, true)},
+      {&skewed, make_config(true, true, false, false, true)},
+      {&spd, sym},
+  };
+  for (const int k : {1, 4}) {
+    for (const auto& [m, cfg] : cases) {
+      const auto xs =
+          random_vector(static_cast<std::size_t>(m->ncols()) * static_cast<std::size_t>(k),
+                        333 + static_cast<std::uint64_t>(k));
+      for (const int threads : {1, 3, 4}) {
+        const auto first = run_at(*m, cfg, threads, k, xs);
+        for (int rep = 0; rep < 3; ++rep) {
+          expect_bitwise(run_at(*m, cfg, threads, k, xs), first,
+                         cfg.describe() + " k" + std::to_string(k) + " at " +
+                             std::to_string(threads) + " threads");
+        }
+      }
+    }
+  }
+}
 
 // --- Micro-benchmark kernels ----------------------------------------------
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "gen/generators.hpp"
 #include "sparse/matrix_market.hpp"
@@ -229,6 +231,55 @@ TEST(MatrixMarket, RejectsMissingValue) {
       "2 2 1\n"
       "1 1\n"};
   EXPECT_THROW(mm::read_coo(ss), std::runtime_error);
+}
+
+// Malformed size lines and values stop at the reader with a named
+// "matrix market: ..." error, before the size line sizes any allocation.
+void expect_named_error(const std::string& text, const std::string& reason) {
+  std::stringstream ss{text};
+  try {
+    (void)mm::read_coo(ss);
+    FAIL() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("matrix market: ", 0), 0u) << what;
+    EXPECT_NE(what.find(reason), std::string::npos) << what;
+  }
+}
+
+TEST(MatrixMarket, RejectsNegativeNnz) {
+  expect_named_error("%%MatrixMarket matrix coordinate real general\n3 3 -1\n",
+                     "negative size");
+}
+
+TEST(MatrixMarket, RejectsNegativeDimension) {
+  expect_named_error("%%MatrixMarket matrix coordinate real general\n3 -2 0\n",
+                     "negative size");
+}
+
+TEST(MatrixMarket, RejectsNnzAboveMatrixPositions) {
+  expect_named_error("%%MatrixMarket matrix coordinate real general\n3 3 99999999999999\n",
+                     "more entries than matrix positions");
+}
+
+TEST(MatrixMarket, RejectsTallSymmetricFile) {
+  expect_named_error("%%MatrixMarket matrix coordinate real symmetric\n5 3 1\n5 1 1.0\n",
+                     "non-square");
+}
+
+TEST(MatrixMarket, RejectsWideSymmetricFile) {
+  expect_named_error("%%MatrixMarket matrix coordinate real symmetric\n3 5 1\n2 1 1.0\n",
+                     "non-square");
+}
+
+TEST(MatrixMarket, RejectsNanValue) {
+  expect_named_error("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n",
+                     "non-finite value");
+}
+
+TEST(MatrixMarket, RejectsInfiniteValue) {
+  expect_named_error("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 -inf\n",
+                     "non-finite value");
 }
 
 TEST(MatrixMarket, FileRoundTrip) {

@@ -13,7 +13,6 @@
 #include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
 #include "machine/machine_spec.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/decomposed_csr.hpp"
@@ -161,22 +160,6 @@ TEST(BuilderAgreement, SellMatchesSerial) {
         }
         expect_span_eq(par.colind(), ref.colind(), "sell.colind");
         expect_span_eq(par.values(), ref.values(), "sell.values");
-      }
-    }
-  }
-}
-
-TEST(BuilderAgreement, BcsrMatchesSerial) {
-  for (const CsrMatrix& m : suite()) {
-    for (const auto& [r, c] :
-         {std::pair<index_t, index_t>{2, 2}, std::pair<index_t, index_t>{4, 4}}) {
-      const BcsrMatrix ref = BcsrMatrix::from_csr_serial(m, r, c);
-      for (const int t : kThreadCounts) {
-        const BcsrMatrix par = BcsrMatrix::from_csr(m, r, c, t);
-        ASSERT_EQ(par.nblocks(), ref.nblocks());
-        expect_span_eq(par.block_rowptr(), ref.block_rowptr(), "bcsr.block_rowptr");
-        expect_span_eq(par.block_colind(), ref.block_colind(), "bcsr.block_colind");
-        expect_span_eq(par.values(), ref.values(), "bcsr.values");
       }
     }
   }

@@ -14,15 +14,11 @@
 #include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/spmv_csr.hpp"
-#include "kernels/spmv_decomposed.hpp"
-#include "kernels/spmv_delta.hpp"
-#include "kernels/spmv_prefetch.hpp"
 #include "kernels/spmv_sell.hpp"
-#include "kernels/spmv_unrolled.hpp"
 #include "sparse/sell.hpp"
 #include "tuner/optimizations.hpp"
 #include "tuner/plan_cache.hpp"
+#include "vendor/vendor_csr.hpp"
 
 namespace sparta {
 namespace {
@@ -87,44 +83,22 @@ INSTANTIATE_TEST_SUITE_P(AllSweepConfigs, SpmmWidth1BitIdentity,
                            return "combo_" + std::to_string(info.param);
                          });
 
-// The free-function vector kernels are the pre-block execution surface; the
-// prepared width-1 path must reproduce them bit-for-bit (same partition,
-// same per-row kernels, same store).
-TEST(SpmmWidth1BitIdentity, MatchesFreeFunctionKernelsBitwise) {
+// The vendor comparator (the denominator of kernels.speedup_vs_vendor) and
+// the prepared kernel with the vendor config must be the same scalar
+// static-rows kernel: same equal-rows partition, same per-row body, same
+// store — bit-for-bit at every thread count.
+TEST(SpmmWidth1BitIdentity, VendorConfigMatchesVendorHostBitwise) {
   const CsrMatrix m = test_matrix();
-  const int threads = 4;
-  const auto parts = partition_balanced_nnz(m, threads);
   const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 422);
   const auto n = static_cast<std::size_t>(m.nrows());
-
-  struct Case {
-    sim::KernelConfig cfg;
-    void (*legacy)(const CsrMatrix&, std::span<const value_t>, std::span<value_t>,
-                   std::span<const RowRange>);
-  };
-  sim::KernelConfig base;
-  sim::KernelConfig vec = base;
-  vec.vectorized = true;
-  sim::KernelConfig pref = base;
-  pref.prefetch = true;
-  sim::KernelConfig unroll = base;
-  unroll.vectorized = true;
-  unroll.unrolled = true;
-  sim::KernelConfig unroll_pref = unroll;
-  unroll_pref.prefetch = true;
-  const Case cases[] = {{base, &kernels::spmv_csr},
-                        {vec, &kernels::spmv_csr_vectorized},
-                        {pref, &kernels::spmv_csr_prefetch},
-                        {unroll, &kernels::spmv_csr_unrolled},
-                        {unroll_pref, &kernels::spmv_csr_unrolled_prefetch}};
-  for (const Case& c : cases) {
+  for (const int threads : {1, 2, 4}) {
     const kernels::PreparedSpmv prepared{
-        m, kernels::SpmvOptions{.config = c.cfg, .threads = threads}};
+        m, kernels::SpmvOptions{.config = vendor::vendor_csr_config(), .threads = threads}};
     aligned_vector<value_t> y_prepared(n, -3.0);
-    aligned_vector<value_t> y_legacy(n, -3.0);
+    aligned_vector<value_t> y_vendor(n, -3.0);
     prepared.run(std::span<const value_t>{x}, std::span<value_t>{y_prepared});
-    c.legacy(m, x, y_legacy, parts);
-    expect_bitwise(y_prepared, y_legacy);
+    vendor::vendor_csr_host(m, x, y_vendor, threads);
+    expect_bitwise(y_prepared, y_vendor);
   }
 }
 

@@ -203,19 +203,30 @@ TEST(SymCsr, ValidatorNamesEachCorruption) {
 
 // --- Kernels ---------------------------------------------------------------
 
+// The kernels run through PreparedSpmv with symmetric storage requested,
+// prepared for operand width k so the K-column scatter/reduce instantiation
+// (K = 1/2/4/8) is the one exercised.
+kernels::PreparedSpmv prepare_sym(const CsrMatrix& m, int k, int threads) {
+  sim::KernelConfig cfg;
+  cfg.symmetric = true;
+  return kernels::PreparedSpmv{
+      m, kernels::SpmvOptions{.config = cfg, .threads = threads, .block_width = k}};
+}
+
 class SymKernelWidths : public ::testing::TestWithParam<int> {};
 
 TEST_P(SymKernelWidths, MatchesGeneralReferencePerColumn) {
   const int k = GetParam();
   const CsrMatrix m = random_symmetric(900, 5, 95);
-  const SymCsrMatrix sym = SymCsrMatrix::build(m, 4);
+  const auto sym = prepare_sym(m, k, 4);
+  ASSERT_TRUE(sym.symmetric_applied());
   const auto rows = static_cast<std::size_t>(m.nrows());
   const auto kk = static_cast<std::size_t>(k);
 
   const auto xs = random_vector(rows * kk, 96 + static_cast<std::uint64_t>(k));
   aligned_vector<value_t> ys(rows * kk, -5.0);
-  kernels::spmm_sym(sym, kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
-                    kernels::DenseBlockView{ys.data(), m.nrows(), k, k}, 1.0, 0.0, 4);
+  sym.run(kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
+          kernels::DenseBlockView{ys.data(), m.nrows(), k, k});
   for (std::size_t c = 0; c < kk; ++c) {
     aligned_vector<value_t> xc(rows), want(rows);
     for (std::size_t r = 0; r < rows; ++r) xc[r] = xs[r * kk + c];
@@ -231,13 +242,14 @@ INSTANTIATE_TEST_SUITE_P(Widths, SymKernelWidths, ::testing::Values(1, 2, 4, 8),
 
 TEST(SymKernels, DeterministicForAFixedThreadCount) {
   const CsrMatrix m = random_symmetric(1200, 6, 97);
-  const SymCsrMatrix sym = SymCsrMatrix::build(m);
   const auto n = static_cast<std::size_t>(m.nrows());
   const auto x = random_vector(n, 98);
   for (const int threads : {1, 3, 8}) {
+    const auto sym = prepare_sym(m, 1, threads);
+    ASSERT_TRUE(sym.symmetric_applied());
     aligned_vector<value_t> first(n), second(n);
-    kernels::spmv_sym(sym, x, first, threads);
-    kernels::spmv_sym(sym, x, second, threads);
+    sym.run(std::span<const value_t>{x}, std::span<value_t>{first});
+    sym.run(std::span<const value_t>{x}, std::span<value_t>{second});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(first[i], second[i]) << "nondeterministic at row " << i;
     }
@@ -246,16 +258,16 @@ TEST(SymKernels, DeterministicForAFixedThreadCount) {
 
 TEST(SymKernels, AlphaBetaIdentities) {
   const CsrMatrix m = random_symmetric(400, 4, 99);
-  const SymCsrMatrix sym = SymCsrMatrix::build(m);
+  const auto sym = prepare_sym(m, 1, 4);
+  ASSERT_TRUE(sym.symmetric_applied());
   const auto n = static_cast<std::size_t>(m.nrows());
   const auto x = random_vector(n, 100);
   const auto y0 = random_vector(n, 101);
   aligned_vector<value_t> ax(n);
-  kernels::spmv_sym(sym, x, ax, 4);
+  sym.run(std::span<const value_t>{x}, std::span<value_t>{ax});
 
   aligned_vector<value_t> y = y0;
-  kernels::spmm_sym(sym, kernels::ConstDenseBlockView::from_vector(x),
-                    kernels::DenseBlockView::from_vector(y), 2.5, -0.5, 4);
+  sym.run(std::span<const value_t>{x}, std::span<value_t>{y}, 2.5, -0.5);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_NEAR(y[i], 2.5 * ax[i] - 0.5 * y0[i], 1e-10) << "at row " << i;
   }

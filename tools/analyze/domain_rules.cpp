@@ -1,6 +1,7 @@
 // Index-domain rule family (DESIGN.md §15): infer which index space — row,
 // column, or nnz — each integer variable in a function lives in, seeded from
-// the sparse-format field idioms in src/sparse/ (CSR/DeltaCsr/SELL/BCSR):
+// the sparse-format field idioms (CSR/DeltaCsr/SELL in src/sparse/, plus the
+// common block-CSR field names):
 //
 //   rowptr-family arrays are indexed by row and hold nnz offsets;
 //   row_len-family arrays are indexed by row and hold counts;
