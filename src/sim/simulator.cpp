@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <optional>
+
+#include <omp.h>
 
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/partition.hpp"
 
 namespace sparta::sim {
+
+index_t dynamic_chunk_rows(index_t nrows, int threads) {
+  return std::max<index_t>(16, nrows / (static_cast<index_t>(threads) * 16));
+}
 
 namespace {
 
@@ -28,42 +35,45 @@ double proxy_seconds(const ThreadTally& t, const MachineSpec& m, double per_thre
   return std::max(t_comp, t_bw) + t_lat;
 }
 
-}  // namespace
-
-index_t dynamic_chunk_rows(index_t nrows, int threads) {
-  return std::max<index_t>(16, nrows / (static_cast<index_t>(threads) * 16));
+/// True when some row is long under the default decomposition threshold.
+bool has_long_row(const CsrMatrix& m) {
+  const index_t threshold = DecomposedCsrMatrix::default_threshold(m);
+  for (index_t i = 0; i < m.nrows(); ++i) {
+    if (m.row_nnz(i) > threshold) return true;
+  }
+  return false;
 }
 
-SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
-                        const KernelConfig& cfg_in) {
+/// One configuration against the batch's shared preprocessing: `delta_width`
+/// is the matrix's delta width (nullopt when it is incompressible), `dec` its
+/// long-row decomposition (null when it has no long row, in which case the
+/// short part would equal `m` and the cooperative pass would be empty).
+/// `caches` holds one x cache per modeled thread; they are cleared first.
+SimResult simulate_one(const CsrMatrix& m, const MachineSpec& machine,
+                       const KernelConfig& cfg_in, std::optional<DeltaWidth> delta_width,
+                       const DecomposedCsrMatrix* dec, std::vector<SetAssocCache>& caches) {
   SimResult result;
   KernelConfig cfg = cfg_in;
 
   DeltaWidth width = DeltaWidth::k8;
   if (cfg.delta) {
-    const auto w = DeltaCsrMatrix::pick_width(m);
-    if (w) {
-      width = *w;
+    if (delta_width) {
+      width = *delta_width;
     } else {
       cfg.delta = false;
       result.delta_applied = false;
     }
   }
 
-  std::optional<DecomposedCsrMatrix> dec;
+  if (!cfg.decomposed) dec = nullptr;
   const CsrMatrix* base = &m;
-  if (cfg.decomposed) {
-    dec.emplace(DecomposedCsrMatrix::decompose(m));
+  if (dec != nullptr) {
     result.long_rows = static_cast<index_t>(dec->long_rows().size());
     base = &dec->short_part();
   }
 
   const int T = machine.threads();
-  std::vector<SetAssocCache> caches;
-  caches.reserve(static_cast<std::size_t>(T));
-  for (int t = 0; t < T; ++t) {
-    caches.emplace_back(machine.x_cache_bytes_per_thread(), machine.cache_line_bytes);
-  }
+  for (auto& c : caches) c.clear();
   std::vector<ThreadTally> tallies(static_cast<std::size_t>(T));
 
   // Warm-cache methodology: the paper reports warm-cache rates (128
@@ -125,7 +135,7 @@ SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
 
   // Cooperative long-row pass: every thread takes a contiguous slice of each
   // long row, then all threads reduce the partial sums.
-  if (dec && !dec->long_rows().empty()) {
+  if (dec != nullptr) {
     const double reduction_cycles =
         kReductionCyclesPerLevel * std::ceil(std::log2(static_cast<double>(std::max(T, 2))));
     const auto long_rowptr = dec->long_rowptr();
@@ -170,6 +180,64 @@ SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
 
   result.run = combine_threads(tallies, cfg, machine, m.spmv_working_set_bytes(), m.nnz());
   return result;
+}
+
+}  // namespace
+
+std::vector<SimResult> simulate_spmv_batch(const CsrMatrix& m, const MachineSpec& machine,
+                                           std::span<const KernelConfig> cfgs) {
+  if (cfgs.empty()) return {};
+  const auto any = [&](bool KernelConfig::*flag) {
+    return std::any_of(cfgs.begin(), cfgs.end(),
+                       [&](const KernelConfig& c) { return c.*flag; });
+  };
+  std::optional<DeltaWidth> width;
+  if (any(&KernelConfig::delta)) width = DeltaCsrMatrix::pick_width(m);
+  std::optional<DecomposedCsrMatrix> dec;
+  if (any(&KernelConfig::decomposed) && has_long_row(m)) {
+    dec.emplace(DecomposedCsrMatrix::decompose(m));
+  }
+  const DecomposedCsrMatrix* shared_dec = dec ? &*dec : nullptr;
+
+  // One set of x caches per worker, built here on the calling thread and
+  // cleared per config (clear() restores a fresh cache's lines and clock), so
+  // the workers allocate nothing large and repeated batches do not grow the
+  // process's heaps.
+  const auto n = static_cast<int>(cfgs.size());
+  const int team = omp_in_parallel() ? 1 : std::clamp(omp_get_max_threads(), 1, n);
+  std::vector<std::vector<SetAssocCache>> caches(static_cast<std::size_t>(team));
+  for (auto& set : caches) {
+    set.reserve(static_cast<std::size_t>(machine.threads()));
+    for (int t = 0; t < machine.threads(); ++t) {
+      set.emplace_back(machine.x_cache_bytes_per_thread(), machine.cache_line_bytes);
+    }
+  }
+
+  // An exception must not leave the parallel region: each slot keeps its
+  // own, and the first in config order is rethrown after the join.
+  std::vector<SimResult> results(cfgs.size());
+  std::vector<std::exception_ptr> errors(cfgs.size());
+#pragma omp parallel for default(none) \
+    shared(results, errors, caches, cfgs, m, machine, width, shared_dec, n) num_threads(team) \
+    schedule(dynamic, 1)
+  for (int i = 0; i < n; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    try {
+      results[k] = simulate_one(m, machine, cfgs[k], width, shared_dec,
+                                caches[static_cast<std::size_t>(omp_get_thread_num())]);
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  }
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return results;
+}
+
+SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
+                        const KernelConfig& cfg) {
+  return simulate_spmv_batch(m, machine, std::span{&cfg, 1}).front();
 }
 
 }  // namespace sparta::sim

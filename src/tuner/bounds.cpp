@@ -1,5 +1,7 @@
 #include "tuner/bounds.hpp"
 
+#include <array>
+
 #include "common/statistics.hpp"
 #include "tuner/bottleneck.hpp"
 
@@ -54,8 +56,16 @@ double p_peak_bound(const CsrMatrix& m, const MachineSpec& machine) {
 PerfBounds measure_bounds(const CsrMatrix& m, const MachineSpec& machine) {
   PerfBounds b;
 
-  // Baseline CSR run.
-  const auto base = sim::simulate_spmv(m, machine, sim::baseline_config());
+  // One batch: the baseline CSR run, the P_ML micro-benchmark (regularized
+  // x accesses) and the P_CMP micro-benchmark (unit-stride accesses, no
+  // indirect references).
+  std::array<sim::KernelConfig, 3> cfgs{sim::baseline_config(), sim::baseline_config(),
+                                        sim::baseline_config()};
+  cfgs[1].x_access = sim::XAccess::kRegularized;
+  cfgs[2].x_access = sim::XAccess::kUnitStride;
+  const auto runs = sim::simulate_spmv_batch(m, machine, cfgs);
+
+  const auto& base = runs[0];
   b.p_csr = base.run.gflops;
   b.t_csr_seconds = base.run.seconds;
   b.thread_seconds = base.run.thread_seconds;
@@ -76,15 +86,8 @@ PerfBounds measure_bounds(const CsrMatrix& m, const MachineSpec& machine) {
                 ? 2.0 * static_cast<double>(m.nnz()) / t_median * 1e-9
                 : b.p_csr;
 
-  // P_ML micro-benchmark: regularized x accesses.
-  sim::KernelConfig ml_cfg = sim::baseline_config();
-  ml_cfg.x_access = sim::XAccess::kRegularized;
-  b.p_ml = sim::simulate_spmv(m, machine, ml_cfg).run.gflops;
-
-  // P_CMP micro-benchmark: unit-stride accesses, no indirect references.
-  sim::KernelConfig cmp_cfg = sim::baseline_config();
-  cmp_cfg.x_access = sim::XAccess::kUnitStride;
-  b.p_cmp = sim::simulate_spmv(m, machine, cmp_cfg).run.gflops;
+  b.p_ml = runs[1].run.gflops;
+  b.p_cmp = runs[2].run.gflops;
 
   b.p_mb = p_mb_bound(m, machine);
   b.p_peak = p_peak_bound(m, machine);

@@ -100,30 +100,42 @@ Autotuner::Evaluation Autotuner::evaluate(const std::string& name, const CsrMatr
   {
     const obs::ScopedPhase phase{e.phases, "simulate"};
 
-    auto rate_of = [&](const sim::KernelConfig& cfg) {
-      for (const auto& [c, g] : e.perf) {
-        if (c == cfg) return g;
-      }
-      const double g = simulate_gflops(m, cfg);
-      e.perf.emplace_back(cfg, g);
-      return g;
+    // Distinct configs in first-use order; slot_of returns a config's index.
+    std::vector<sim::KernelConfig> configs;
+    auto slot_of = [&](const sim::KernelConfig& cfg) {
+      const auto it = std::find(configs.begin(), configs.end(), cfg);
+      if (it != configs.end()) return static_cast<std::size_t>(it - configs.begin());
+      configs.push_back(cfg);
+      return configs.size() - 1;
     };
 
-    // Baseline is part of the cache too (mask 0 / empty sweep entry).
-    rate_of(sim::baseline_config());
+    // Baseline first (mask 0 / empty sweep entry): measure_bounds already ran it.
+    slot_of(sim::baseline_config());
 
     // All 15 sweep candidates.
     const auto& combos = combined_optimization_sets();
-    e.combo_gflops.reserve(combos.size());
-    for (const auto& combo : combos) {
-      e.combo_gflops.push_back(rate_of(config_for(combo)));
-    }
+    std::vector<std::size_t> combo_slots;
+    combo_slots.reserve(combos.size());
+    for (const auto& combo : combos) combo_slots.push_back(slot_of(config_for(combo)));
 
     // Every class-mask selection the classifiers could emit.
+    std::array<std::size_t, 16> mask_slots{};
     for (std::uint32_t mask = 0; mask < 16; ++mask) {
       const auto classes = BottleneckSet::from_mask(mask);
-      const auto ops = select_optimizations(classes, e.features, imb_);
-      e.class_mask_gflops[mask] = rate_of(config_for(ops));
+      mask_slots[mask] = slot_of(config_for(select_optimizations(classes, e.features, imb_)));
+    }
+
+    const auto runs =
+        sim::simulate_spmv_batch(m, machine_, std::span{configs}.subspan(1));
+    e.perf.reserve(configs.size());
+    e.perf.emplace_back(configs[0], e.bounds.p_csr);
+    for (std::size_t i = 1; i < configs.size(); ++i) {
+      e.perf.emplace_back(configs[i], runs[i - 1].run.gflops);
+    }
+    e.combo_gflops.reserve(combos.size());
+    for (std::size_t slot : combo_slots) e.combo_gflops.push_back(e.perf[slot].second);
+    for (std::uint32_t mask = 0; mask < 16; ++mask) {
+      e.class_mask_gflops[mask] = e.perf[mask_slots[mask]].second;
     }
   }
   auto& reg = obs::Registry::global();

@@ -1,6 +1,8 @@
 #include "tuner/partitioned_bounds.hpp"
 
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/simulator.hpp"
 #include "sparse/partition.hpp"
@@ -15,8 +17,14 @@ PartitionedMlResult measure_partitioned_ml(const CsrMatrix& m, const MachineSpec
   sim::KernelConfig reg = sim::baseline_config();
   reg.x_access = sim::XAccess::kRegularized;
 
-  const double global_base = sim::simulate_spmv(m, machine, sim::baseline_config()).run.gflops;
-  const double global_reg = sim::simulate_spmv(m, machine, reg).run.gflops;
+  // Baseline and regularized runs of one matrix, as one batch: {base, reg}.
+  const std::array<sim::KernelConfig, 2> pair{sim::baseline_config(), reg};
+  const auto rates = [&](const CsrMatrix& a) {
+    const auto runs = sim::simulate_spmv_batch(a, machine, pair);
+    return std::pair{runs[0].run.gflops, runs[1].run.gflops};
+  };
+
+  const auto [global_base, global_reg] = rates(m);
   result.global_gain = global_base > 0.0 ? global_reg / global_base : 0.0;
 
   const auto parts = partition_balanced_nnz(m, partitions);
@@ -32,8 +40,7 @@ PartitionedMlResult measure_partitioned_ml(const CsrMatrix& m, const MachineSpec
       result.partition_gains.push_back(1.0);
       continue;
     }
-    const double base = sim::simulate_spmv(slice, machine, sim::baseline_config()).run.gflops;
-    const double regular = sim::simulate_spmv(slice, machine, reg).run.gflops;
+    const auto [base, regular] = rates(slice);
     const double gain = base > 0.0 ? regular / base : 1.0;
     result.partition_gains.push_back(gain);
     if (gain > result.max_partition_gain) {

@@ -6,8 +6,6 @@
 // 15 sweep sets x schedules).
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <string>
 #include <tuple>
 #include <utility>
@@ -16,6 +14,7 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
+#include "team_size.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace sparta {
@@ -123,21 +122,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Determinism contract (DESIGN.md §16) ----------------------------------
 
-// Sets the OpenMP team size for one scope: the one-shot drivers open their
-// parallel regions with the default team, so a thread count under test must
-// set both it and SpmvOptions::threads.
-class TeamSize {
- public:
-  explicit TeamSize(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~TeamSize() { omp_set_num_threads(saved_); }
-  TeamSize(const TeamSize&) = delete;
-  TeamSize& operator=(const TeamSize&) = delete;
-
- private:
-  int saved_;
-};
+// The one-shot drivers open their parallel regions with the default team, so
+// a thread count under test must set both it (TeamSize) and
+// SpmvOptions::threads.
 
 // y = A X at operand width k, prepared and run with `threads` threads.
 aligned_vector<value_t> run_at(const CsrMatrix& m, const sim::KernelConfig& cfg, int threads,

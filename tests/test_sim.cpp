@@ -3,9 +3,21 @@
 // methodology depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "common/statistics.hpp"
+#include "features/features.hpp"
 #include "gen/generators.hpp"
 #include "sim/simulator.hpp"
+#include "sparse/decomposed_csr.hpp"
+#include "sparse/delta_csr.hpp"
+#include "team_size.hpp"
+#include "tuner/optimizations.hpp"
 
 namespace sparta {
 namespace {
@@ -229,6 +241,146 @@ TEST(Simulate, LatencyHurtsLessOnBroadwell) {
   const double gain_bdw = sim::simulate_spmv(m, broadwell(), reg).run.gflops /
                           sim::simulate_spmv(m, broadwell(), KernelConfig{}).run.gflops;
   EXPECT_GT(gain_knc, gain_bdw);
+}
+
+// --- simulate_spmv_batch ----------------------------------------------------
+
+void expect_bitwise(const sim::SimResult& got, const sim::SimResult& want,
+                    const std::string& what) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(got.run.gflops), bits(want.run.gflops)) << what;
+  EXPECT_EQ(bits(got.run.seconds), bits(want.run.seconds)) << what;
+  ASSERT_EQ(got.run.thread_seconds.size(), want.run.thread_seconds.size()) << what;
+  for (std::size_t t = 0; t < got.run.thread_seconds.size(); ++t) {
+    EXPECT_EQ(bits(got.run.thread_seconds[t]), bits(want.run.thread_seconds[t]))
+        << what << " thread " << t;
+  }
+  EXPECT_EQ(got.delta_applied, want.delta_applied) << what;
+  EXPECT_EQ(got.long_rows, want.long_rows) << what;
+}
+
+TEST(Simulate, DecomposedWithoutLongRowsEqualsPlain) {
+  const CsrMatrix m = gen::stencil27(16, 16, 16);
+  KernelConfig plain;
+  plain.vectorized = true;
+  KernelConfig dec = plain;
+  dec.decomposed = true;
+  const auto b = sim::simulate_spmv(m, knc(), dec);
+  EXPECT_EQ(b.long_rows, 0);
+  expect_bitwise(b, sim::simulate_spmv(m, knc(), plain), "decomposed vs plain");
+}
+
+/// Every distinct config Autotuner::evaluate simulates for `m` (baseline,
+/// the 15 sweep sets, the 16 class-mask selections) plus the P_ML and P_CMP
+/// micro-benchmark configs.
+std::vector<KernelConfig> tuner_configs(const CsrMatrix& m, const MachineSpec& machine) {
+  std::vector<KernelConfig> out;
+  const auto add = [&](const KernelConfig& c) {
+    if (std::find(out.begin(), out.end(), c) == out.end()) out.push_back(c);
+  };
+  add(sim::baseline_config());
+  for (const auto& combo : combined_optimization_sets()) add(config_for(combo));
+  const auto fv = extract_features(m, {machine.llc_bytes, machine.values_per_line()});
+  for (std::uint32_t mask = 0; mask < 16; ++mask) {
+    add(config_for(select_optimizations(BottleneckSet::from_mask(mask), fv, ImbPolicy{})));
+  }
+  for (const auto x : {XAccess::kRegularized, XAccess::kUnitStride}) {
+    KernelConfig c = sim::baseline_config();
+    c.x_access = x;
+    add(c);
+  }
+  return out;
+}
+
+void expect_batch_matches_single(const CsrMatrix& m, const std::string& name) {
+  const MachineSpec machine = knc();
+  const auto cfgs = tuner_configs(m, machine);
+  std::vector<sim::SimResult> single;
+  single.reserve(cfgs.size());
+  for (const auto& c : cfgs) single.push_back(sim::simulate_spmv(m, machine, c));
+  for (const int threads : {1, 4}) {
+    const TeamSize team{threads};
+    const auto batch = sim::simulate_spmv_batch(m, machine, cfgs);
+    ASSERT_EQ(batch.size(), cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      expect_bitwise(batch[i], single[i],
+                     name + " " + cfgs[i].describe() + " @" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(SimBatch, EqualsSingleOnStencilWithoutLongRows) {
+  const CsrMatrix m = gen::stencil27(16, 16, 16);
+  ASSERT_EQ(DecomposedCsrMatrix::decompose(m).long_rows().size(), 0U);
+  expect_batch_matches_single(m, "stencil27");
+}
+
+TEST(SimBatch, EqualsSingleOnPowerLawWithLongRows) {
+  const CsrMatrix m = gen::powerlaw(20000, 1.6, 3000, 105);
+  ASSERT_GT(DecomposedCsrMatrix::decompose(m).long_rows().size(), 0U);
+  expect_batch_matches_single(m, "powerlaw");
+}
+
+TEST(SimBatch, EqualsSingleOnCircuitWithDenseRows) {
+  // Scattered dense rows: the cooperative long-row pass reads the x caches
+  // without a warm-up replay, so a cache left dirty by an earlier config
+  // would show here.
+  const CsrMatrix m = gen::circuit_like(20000, 3, 4, 12000, 109);
+  expect_batch_matches_single(m, "circuit");
+}
+
+TEST(SimBatch, EqualsSingleOnDeltaIncompressible) {
+  const CsrMatrix m = gen::random_uniform(80000, 4, 106);
+  ASSERT_FALSE(DeltaCsrMatrix::pick_width(m).has_value());
+  expect_batch_matches_single(m, "incompressible");
+}
+
+TEST(SimBatch, DuplicateConfigsGetIdenticalSlots) {
+  const CsrMatrix m = gen::circuit_like(20000, 3, 4, 12000, 107);
+  KernelConfig dec;
+  dec.decomposed = true;
+  dec.vectorized = true;
+  const std::vector<KernelConfig> cfgs{dec, KernelConfig{}, dec, dec, KernelConfig{}};
+  const TeamSize team{4};
+  const auto batch = sim::simulate_spmv_batch(m, knc(), cfgs);
+  ASSERT_EQ(batch.size(), cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    expect_bitwise(batch[i], sim::simulate_spmv(m, knc(), cfgs[i]), "slot " + std::to_string(i));
+  }
+}
+
+TEST(SimBatch, EmptySpanYieldsNoResults) {
+  const CsrMatrix m = gen::stencil27(4, 4, 4);
+  EXPECT_TRUE(sim::simulate_spmv_batch(m, knc(), {}).empty());
+}
+
+TEST(SimBatch, ForwardsSimulationErrors) {
+  const CsrMatrix m = gen::stencil27(8, 8, 8);
+  MachineSpec bad = knc();
+  bad.cores = 0;  // no modeled threads: partitioning refuses, inside the parallel loop
+  const std::vector<KernelConfig> cfgs(4);
+  const TeamSize team{4};
+  EXPECT_THROW((void)sim::simulate_spmv_batch(m, bad, cfgs), std::invalid_argument);
+  EXPECT_THROW((void)sim::simulate_spmv(m, bad, KernelConfig{}), std::invalid_argument);
+}
+
+TEST(SimBatch, NestedInsideParallelRegionMatches) {
+  const CsrMatrix m = gen::powerlaw(20000, 1.6, 3000, 108);
+  KernelConfig dec;
+  dec.decomposed = true;
+  KernelConfig delta;
+  delta.delta = true;
+  const std::vector<KernelConfig> cfgs{KernelConfig{}, dec, delta};
+  const auto want = sim::simulate_spmv_batch(m, knc(), cfgs);
+  std::vector<std::vector<sim::SimResult>> got(2);
+#pragma omp parallel for num_threads(2) schedule(static, 1)
+  for (int i = 0; i < 2; ++i) {
+    got[static_cast<std::size_t>(i)] = sim::simulate_spmv_batch(m, knc(), cfgs);
+  }
+  for (const auto& g : got) {
+    ASSERT_EQ(g.size(), cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) expect_bitwise(g[i], want[i], cfgs[i].describe());
+  }
 }
 
 TEST(DynamicChunkRows, ReasonableGranularity) {

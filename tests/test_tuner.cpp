@@ -2,8 +2,12 @@
 // feature-guided classifier wiring and the hyperparameter grid search.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
+#include "team_size.hpp"
 #include "tuner/feature_classifier.hpp"
 #include "tuner/grid_search.hpp"
 #include "tuner/optimizer.hpp"
@@ -125,6 +129,52 @@ TEST_F(AutotunerFixture, EvaluationRejectsUnknownConfig) {
   odd.x_access = sim::XAccess::kRegularized;
   odd.prefetch = true;
   EXPECT_THROW((void)scattered_eval().gflops_for(odd), std::out_of_range);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST_F(AutotunerFixture, EvaluationIndependentOfTeamSize) {
+  // Long rows (shared decomposition) and a power-law tail, so every batch
+  // path of evaluate() runs.
+  const CsrMatrix m = gen::circuit_like(20000, 3, 4, 12000, 140);
+  const auto eval_at = [&](int threads) {
+    const TeamSize team{threads};
+    return tuner().evaluate("skewed", m);
+  };
+  const auto e1 = eval_at(1);
+  const auto e4 = eval_at(4);
+
+  ASSERT_EQ(e1.perf.size(), e4.perf.size());
+  for (std::size_t i = 0; i < e1.perf.size(); ++i) {
+    EXPECT_EQ(e1.perf[i].first, e4.perf[i].first) << i;
+    EXPECT_EQ(bits(e1.perf[i].second), bits(e4.perf[i].second)) << e1.perf[i].first.describe();
+  }
+  EXPECT_EQ(e1.perf.front().first, sim::baseline_config());
+  EXPECT_EQ(bits(e1.perf.front().second), bits(e1.bounds.p_csr));
+  ASSERT_EQ(e1.combo_gflops.size(), e4.combo_gflops.size());
+  for (std::size_t i = 0; i < e1.combo_gflops.size(); ++i) {
+    EXPECT_EQ(bits(e1.combo_gflops[i]), bits(e4.combo_gflops[i])) << i;
+  }
+  for (std::size_t i = 0; i < e1.class_mask_gflops.size(); ++i) {
+    EXPECT_EQ(bits(e1.class_mask_gflops[i]), bits(e4.class_mask_gflops[i])) << i;
+  }
+
+  const auto& b1 = e1.bounds;
+  const auto& b4 = e4.bounds;
+  for (const auto field : {&PerfBounds::p_csr, &PerfBounds::p_mb, &PerfBounds::p_ml,
+                           &PerfBounds::p_imb, &PerfBounds::p_cmp, &PerfBounds::p_peak,
+                           &PerfBounds::t_csr_seconds}) {
+    EXPECT_EQ(bits(b1.*field), bits(b4.*field));
+  }
+  EXPECT_EQ(b1.thread_seconds, b4.thread_seconds);
+
+  const auto p1 = tuner().plan(e1);
+  const auto p4 = tuner().plan(e4);
+  EXPECT_EQ(p1.classes.mask(), p4.classes.mask());
+  EXPECT_EQ(p1.optimizations, p4.optimizations);
+  EXPECT_EQ(p1.config, p4.config);
+  EXPECT_EQ(bits(p1.gflops), bits(p4.gflops));
+  EXPECT_EQ(bits(p1.t_pre_seconds), bits(p4.t_pre_seconds));
 }
 
 TEST_F(AutotunerFixture, ProfilePlanDetectsMlOnScattered) {
