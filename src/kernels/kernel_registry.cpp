@@ -367,7 +367,10 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
 
   // NUMA first-touch copies of the streaming arrays, initialized by the
   // owning threads. Decomposed and dynamic-schedule configs have no stable
-  // per-thread row ownership and keep the source arrays.
+  // per-thread row ownership and keep the source arrays. Symmetric storage
+  // is already placed by its parallel build and the scratch fill above, and
+  // its kernels never read the general arrays, so those are not copied:
+  // run_local reads the source arrays, with identical results.
   if (first_touch && !cfg.decomposed && cfg.schedule != Schedule::kDynamicChunks) {
     const auto parts = std::span<const RowRange>{prepared->region_parts};
     if (use_delta) {
@@ -394,7 +397,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
                     prepared->ft_deltas8.span(), prepared->ft_deltas16.span(),
                     prepared->ft_values.span(),  d.width(),
                     d.nrows()};
-    } else {
+    } else if (!symmetric_applied_) {
       const auto rp = a.rowptr();
       const auto rowptr_range = [&](RowRange r, bool last) {
         return ElemRange{r.begin, last ? static_cast<std::ptrdiff_t>(rp.size()) : r.end};

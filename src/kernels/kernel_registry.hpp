@@ -67,7 +67,12 @@ struct SpmvOptions {
 /// share of rowptr/colind/values from local memory. Decomposed and
 /// dynamic-schedule configs have no stable row ownership and skip the copy
 /// (`first_touch_applied()` reports false); their region path falls back to
-/// the plain-CSR kernels with the same scalar transformations.
+/// the plain-CSR kernels with the same scalar transformations. Symmetric
+/// kernels stream only the symmetric storage and scratch windows, which
+/// their parallel build and the owning threads already place, so no
+/// general-CSR copy is made: `first_touch_applied()` then reports true for
+/// the arrays the symmetric kernels read, while the general run_local path
+/// (engine SpMM, BiCGSTAB) reads the source arrays, with identical results.
 class PreparedSpmv {
  public:
   /// Preprocess `a` per `opts`. If opts.config.delta is set but the matrix

@@ -20,6 +20,11 @@ SetAssocCache::SetAssocCache(std::size_t capacity_bytes, std::size_t line_bytes,
 
 bool SetAssocCache::access(std::uint64_t addr) {
   const std::uint64_t tag = addr / line_bytes_;
+  if (tag == last_tag_) {
+    ++hits_;
+    return true;
+  }
+  last_tag_ = tag;
   const std::size_t set = static_cast<std::size_t>(tag) & (nsets_ - 1);
   Line* base = lines_.data() + set * static_cast<std::size_t>(ways_);
   ++tick_;
@@ -41,6 +46,7 @@ bool SetAssocCache::access(std::uint64_t addr) {
 void SetAssocCache::clear() {
   std::fill(lines_.begin(), lines_.end(), Line{});
   tick_ = 0;
+  last_tag_ = ~std::uint64_t{0};
 }
 
 }  // namespace sparta

@@ -22,9 +22,13 @@ class SetAssocCache {
   SetAssocCache(std::size_t capacity_bytes, std::size_t line_bytes = 64, int ways = 8);
 
   /// Touch the line containing byte address `addr`; returns true on hit.
+  /// A touch of the line touched last is a hit that leaves the LRU order as
+  /// it is (the line is already the most recently used), so it returns
+  /// without a set walk.
   bool access(std::uint64_t addr);
 
-  /// Forget all contents (counters are kept).
+  /// Forget all contents, including the last-touched line (counters are
+  /// kept).
   void clear();
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
@@ -43,6 +47,8 @@ class SetAssocCache {
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  // Tag of the previous access (~0, the empty-way tag, when there is none).
+  std::uint64_t last_tag_ = ~std::uint64_t{0};
   // One entry per way per set: tag (line address) and last-use tick.
   struct Line {
     std::uint64_t tag = ~std::uint64_t{0};

@@ -9,9 +9,12 @@
 // A batch resolves the matrix's delta width and long-row decomposition once
 // and shares them read-only across its configurations, which it simulates
 // concurrently on the host's OpenMP team (serially when called from inside
-// a parallel region). Every result is bitwise equal to simulating its
-// configuration alone and independent of the host team size;
-// simulate_spmv() is the batch of one.
+// a parallel region). A static-schedule configuration is split into one
+// work item per modeled thread, so even a batch of one keeps the team busy;
+// a dynamic-schedule configuration, whose greedy chunk assignment couples
+// its modeled threads, is one item. Every result is bitwise equal to
+// simulating its configuration alone and independent of the host team
+// size; simulate_spmv() is the batch of one.
 #pragma once
 
 #include <span>

@@ -1,6 +1,10 @@
 #include "sparse/properties.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#include "sparse/build.hpp"
 
 namespace sparta {
 
@@ -37,18 +41,47 @@ RowScan scan_rows(const CsrMatrix& m, int values_per_line) {
   return scan;
 }
 
-bool is_symmetric(const CsrMatrix& m, value_t tolerance) {
-  if (m.nrows() != m.ncols()) return false;
-  const CsrMatrix t = m.transpose();
-  if (t.rowptr().size() != m.rowptr().size()) return false;
-  for (std::size_t i = 0; i < m.rowptr().size(); ++i) {
-    if (m.rowptr()[i] != t.rowptr()[i]) return false;
-  }
-  for (std::size_t j = 0; j < m.colind().size(); ++j) {
-    if (m.colind()[j] != t.colind()[j]) return false;
-    if (std::abs(m.values()[j] - t.values()[j]) > tolerance) return false;
+namespace {
+
+/// True when every off-diagonal entry of rows [begin, end) has its mirror,
+/// within `tolerance`. The matrix is square, so column c is also a row, and
+/// its columns are strictly increasing: the mirror (c, i) of entry (i, c)
+/// is a binary search of row c for i.
+bool mirrors_match(const CsrMatrix& m, std::size_t begin, std::size_t end, value_t tolerance) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto row = static_cast<index_t>(i);
+    const auto cols = m.row_cols(row);
+    const auto vals = m.row_vals(row);
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+      if (cols[j] == row) continue;
+      const auto mirror_cols = m.row_cols(cols[j]);
+      const auto it = std::lower_bound(mirror_cols.begin(), mirror_cols.end(), row);
+      if (it == mirror_cols.end() || *it != row) return false;
+      const auto k = static_cast<std::size_t>(it - mirror_cols.begin());
+      if (std::abs(vals[j] - m.row_vals(cols[j])[k]) > tolerance) return false;
+    }
   }
   return true;
+}
+
+}  // namespace
+
+bool is_symmetric(const CsrMatrix& m, value_t tolerance) {
+  if (m.nrows() != m.ncols()) return false;
+  // Every entry's mirror exists (an injection of the pattern into itself,
+  // hence a bijection: the pattern equals its transpose) and matches within
+  // the tolerance. Row chunks record a flag each.
+  const auto n = static_cast<std::size_t>(m.nrows());
+  const int nchunks = build::resolve_threads(0);
+  std::vector<std::uint8_t> chunk_ok(static_cast<std::size_t>(nchunks), 1);
+#pragma omp parallel for default(none) shared(chunk_ok, m, n, nchunks, tolerance) \
+    num_threads(nchunks) schedule(static)
+  for (int cidx = 0; cidx < nchunks; ++cidx) {
+    const auto begin = build::chunk_begin(n, nchunks, cidx);
+    const auto end = build::chunk_begin(n, nchunks, cidx + 1);
+    chunk_ok[static_cast<std::size_t>(cidx)] = mirrors_match(m, begin, end, tolerance) ? 1 : 0;
+  }
+  return std::all_of(chunk_ok.begin(), chunk_ok.end(), [](std::uint8_t ok) { return ok != 0; });
 }
 
 index_t count_empty_rows(const CsrMatrix& m) {

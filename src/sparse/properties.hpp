@@ -32,7 +32,10 @@ struct RowScan {
 /// one cache line of the target platform (8 for 64-byte lines and doubles).
 RowScan scan_rows(const CsrMatrix& m, int values_per_line = 8);
 
-/// True if the matrix is structurally and numerically symmetric.
+/// True if the matrix is structurally and numerically symmetric: square,
+/// and every entry (i, c) has a mirror (c, i) whose value differs from it
+/// by at most `tolerance`. Runs over row chunks on the OpenMP team with no
+/// transposed copy.
 bool is_symmetric(const CsrMatrix& m, value_t tolerance = 0.0);
 
 /// Number of rows with no nonzeros.

@@ -83,7 +83,7 @@ double Autotuner::simulate_gflops(const CsrMatrix& m, const sim::KernelConfig& c
   return sim::simulate_spmv(m, machine_, cfg).run.gflops;
 }
 
-Autotuner::Evaluation Autotuner::evaluate(const std::string& name, const CsrMatrix& m) const {
+Autotuner::Evaluation Autotuner::measure(const std::string& name, const CsrMatrix& m) const {
   Evaluation e;
   e.name = name;
   e.nrows = m.nrows();
@@ -97,45 +97,27 @@ Autotuner::Evaluation Autotuner::evaluate(const std::string& name, const CsrMatr
     const obs::ScopedPhase phase{e.phases, "features"};
     e.features = extract_features(m, extraction_config());
   }
+  // measure_bounds already ran the baseline (mask 0 / empty sweep entry).
+  e.perf.emplace_back(sim::baseline_config(), e.bounds.p_csr);
+  return e;
+}
+
+void Autotuner::simulate(Evaluation& e, const CsrMatrix& m,
+                         std::span<const sim::KernelConfig> candidates) const {
   {
     const obs::ScopedPhase phase{e.phases, "simulate"};
-
-    // Distinct configs in first-use order; slot_of returns a config's index.
-    std::vector<sim::KernelConfig> configs;
-    auto slot_of = [&](const sim::KernelConfig& cfg) {
-      const auto it = std::find(configs.begin(), configs.end(), cfg);
-      if (it != configs.end()) return static_cast<std::size_t>(it - configs.begin());
-      configs.push_back(cfg);
-      return configs.size() - 1;
-    };
-
-    // Baseline first (mask 0 / empty sweep entry): measure_bounds already ran it.
-    slot_of(sim::baseline_config());
-
-    // All 15 sweep candidates.
-    const auto& combos = combined_optimization_sets();
-    std::vector<std::size_t> combo_slots;
-    combo_slots.reserve(combos.size());
-    for (const auto& combo : combos) combo_slots.push_back(slot_of(config_for(combo)));
-
-    // Every class-mask selection the classifiers could emit.
-    std::array<std::size_t, 16> mask_slots{};
-    for (std::uint32_t mask = 0; mask < 16; ++mask) {
-      const auto classes = BottleneckSet::from_mask(mask);
-      mask_slots[mask] = slot_of(config_for(select_optimizations(classes, e.features, imb_)));
+    // Configs not yet rated, in first-use order, as one batch.
+    std::vector<sim::KernelConfig> fresh;
+    for (const auto& cfg : candidates) {
+      const bool rated = std::any_of(e.perf.begin(), e.perf.end(),
+                                     [&](const auto& entry) { return entry.first == cfg; });
+      if (!rated && std::find(fresh.begin(), fresh.end(), cfg) == fresh.end()) {
+        fresh.push_back(cfg);
+      }
     }
-
-    const auto runs =
-        sim::simulate_spmv_batch(m, machine_, std::span{configs}.subspan(1));
-    e.perf.reserve(configs.size());
-    e.perf.emplace_back(configs[0], e.bounds.p_csr);
-    for (std::size_t i = 1; i < configs.size(); ++i) {
-      e.perf.emplace_back(configs[i], runs[i - 1].run.gflops);
-    }
-    e.combo_gflops.reserve(combos.size());
-    for (std::size_t slot : combo_slots) e.combo_gflops.push_back(e.perf[slot].second);
-    for (std::uint32_t mask = 0; mask < 16; ++mask) {
-      e.class_mask_gflops[mask] = e.perf[mask_slots[mask]].second;
+    const auto runs = sim::simulate_spmv_batch(m, machine_, fresh);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      e.perf.emplace_back(fresh[i], runs[i].run.gflops);
     }
   }
   auto& reg = obs::Registry::global();
@@ -143,6 +125,28 @@ Autotuner::Evaluation Autotuner::evaluate(const std::string& name, const CsrMatr
   double total_micros = 0.0;
   for (const auto& p : e.phases) total_micros += p.micros;
   reg.histogram("tuner.evaluate.micros").record(total_micros);
+}
+
+Autotuner::Evaluation Autotuner::evaluate(const std::string& name, const CsrMatrix& m) const {
+  Evaluation e = measure(name, m);
+  // All 15 sweep candidates, then every class-mask selection the
+  // classifiers could emit.
+  const auto& combos = combined_optimization_sets();
+  std::vector<sim::KernelConfig> candidates;
+  candidates.reserve(combos.size() + 16);
+  for (const auto& combo : combos) candidates.push_back(config_for(combo));
+  for (std::uint32_t mask = 0; mask < 16; ++mask) {
+    const auto classes = BottleneckSet::from_mask(mask);
+    candidates.push_back(config_for(select_optimizations(classes, e.features, imb_)));
+  }
+  simulate(e, m, candidates);
+  e.combo_gflops.reserve(combos.size());
+  for (std::size_t i = 0; i < combos.size(); ++i) {
+    e.combo_gflops.push_back(e.gflops_for(candidates[i]));
+  }
+  for (std::uint32_t mask = 0; mask < 16; ++mask) {
+    e.class_mask_gflops[mask] = e.gflops_for(candidates[combos.size() + mask]);
+  }
   return e;
 }
 
@@ -185,14 +189,18 @@ OptimizationPlan Autotuner::plan_from_classes(const Evaluation& e, BottleneckSet
   plan.classes = classes;
   plan.optimizations = select_optimizations(classes, e.features, imb_);
   plan.config = config_for(plan.optimizations);
-  plan.gflops = e.class_mask_gflops[classes.mask()];
+  plan.gflops = e.gflops_for(plan.config);
   plan.t_spmv_seconds = e.seconds_at(plan.gflops);
   plan.t_pre_seconds = selection_seconds + setup_seconds(plan.optimizations, e.bounds.t_csr_seconds);
   return plan;
 }
 
+BottleneckSet Autotuner::classify(const Evaluation& e, const FeatureClassifier* fc) const {
+  return fc != nullptr ? fc->classify(e.features) : classify_profile(e.bounds, thresholds_);
+}
+
 OptimizationPlan Autotuner::plan_profile_impl(const Evaluation& e) const {
-  const auto classes = classify_profile(e.bounds, thresholds_);
+  const auto classes = classify(e, nullptr);
   // Selection cost: the profiling phase times the baseline and the two
   // micro-benchmarks, timing_iters runs each (P_MB/P_peak are analytic and
   // P_IMB falls out of the baseline run — paper §III-B).
@@ -205,7 +213,7 @@ OptimizationPlan Autotuner::plan_profile_impl(const Evaluation& e) const {
 
 OptimizationPlan Autotuner::plan_feature_impl(const Evaluation& e,
                                               const FeatureClassifier& fc) const {
-  const auto classes = fc.classify(e.features);
+  const auto classes = classify(e, &fc);
   // Selection cost: feature extraction (tree query is O(log n), negligible).
   const bool needs_nnz_pass =
       std::any_of(fc.config().subset.begin(), fc.config().subset.end(), [](Feature f) {
@@ -217,15 +225,38 @@ OptimizationPlan Autotuner::plan_feature_impl(const Evaluation& e,
   return plan_from_classes(e, classes, "feature", selection);
 }
 
+namespace {
+
+/// The classifier a kFeature call needs; throws when the options lack it.
+const FeatureClassifier& classifier_of(const TuneOptions& opts) {
+  if (opts.classifier == nullptr) {
+    throw std::invalid_argument{
+        "Autotuner: TunePolicy::kFeature requires TuneOptions::classifier"};
+  }
+  return *opts.classifier;
+}
+
+/// The sweep rates the oracle and trivial plans read; only evaluate()
+/// simulates the sweep.
+const std::vector<double>& sweep_gflops(const Autotuner::Evaluation& e) {
+  if (e.combo_gflops.size() != combined_optimization_sets().size()) {
+    throw std::out_of_range{"Evaluation: the candidate sweep was not simulated"};
+  }
+  return e.combo_gflops;
+}
+
+}  // namespace
+
 OptimizationPlan Autotuner::plan_oracle_impl(const Evaluation& e) const {
   OptimizationPlan plan;
   plan.strategy = "oracle";
   plan.gflops = e.bounds.p_csr;
   plan.config = sim::baseline_config();
   const auto& combos = combined_optimization_sets();
+  const auto& rates = sweep_gflops(e);
   for (std::size_t i = 0; i < combos.size(); ++i) {
-    if (e.combo_gflops[i] > plan.gflops) {
-      plan.gflops = e.combo_gflops[i];
+    if (rates[i] > plan.gflops) {
+      plan.gflops = rates[i];
       plan.optimizations = combos[i];
       plan.config = config_for(combos[i]);
     }
@@ -241,14 +272,15 @@ OptimizationPlan Autotuner::plan_trivial_impl(const Evaluation& e, bool combined
   plan.gflops = e.bounds.p_csr;
   plan.config = sim::baseline_config();
   const auto& combos = combined_optimization_sets();
+  const auto& rates = sweep_gflops(e);
   const std::size_t limit = combined ? combos.size() : single_optimization_sets().size();
   double sweep_seconds = 0.0;
   for (std::size_t i = 0; i < limit; ++i) {
     // Pay for this trial: setup + timed runs of the candidate.
     sweep_seconds += setup_seconds(combos[i], e.bounds.t_csr_seconds) +
-                     cost_.timing_iters * e.seconds_at(e.combo_gflops[i]);
-    if (e.combo_gflops[i] > plan.gflops) {
-      plan.gflops = e.combo_gflops[i];
+                     cost_.timing_iters * e.seconds_at(rates[i]);
+    if (rates[i] > plan.gflops) {
+      plan.gflops = rates[i];
       plan.optimizations = combos[i];
       plan.config = config_for(combos[i]);
     }
@@ -268,11 +300,7 @@ OptimizationPlan Autotuner::plan(const Evaluation& e, const TuneOptions& opts) c
         p = plan_profile_impl(e);
         break;
       case TunePolicy::kFeature:
-        if (opts.classifier == nullptr) {
-          throw std::invalid_argument{
-              "Autotuner::plan: TunePolicy::kFeature requires TuneOptions::classifier"};
-        }
-        p = plan_feature_impl(e, *opts.classifier);
+        p = plan_feature_impl(e, classifier_of(opts));
         break;
       case TunePolicy::kOracle:
         p = plan_oracle_impl(e);
@@ -331,7 +359,17 @@ OptimizationPlan Autotuner::plan(const Evaluation& e, const TuneOptions& opts) c
 }
 
 OptimizationPlan Autotuner::tune(const CsrMatrix& m, const TuneOptions& opts) const {
-  return plan(evaluate(opts.name, m), opts);
+  if (opts.policy != TunePolicy::kProfile && opts.policy != TunePolicy::kFeature) {
+    return plan(evaluate(opts.name, m), opts);
+  }
+  // A profile or feature plan reads the bounds, the features and the rate of
+  // the one config its classes select — the only config simulated here.
+  const FeatureClassifier* fc =
+      opts.policy == TunePolicy::kFeature ? &classifier_of(opts) : nullptr;
+  Evaluation e = measure(opts.name, m);
+  const auto selected = config_for(select_optimizations(classify(e, fc), e.features, imb_));
+  simulate(e, m, std::span{&selected, 1});
+  return plan(e, opts);
 }
 
 TrainingSample Autotuner::label(const Evaluation& e) const {

@@ -20,6 +20,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,6 +155,9 @@ class Autotuner {
   /// Everything the benches need for one matrix, computed once: bounds,
   /// features, and the simulated performance of every candidate kernel
   /// configuration (the 15 sweep sets plus every class-mask selection).
+  /// tune() under the profile or feature policy builds a partial one — the
+  /// baseline and the selected config only — and plan() throws
+  /// std::out_of_range when an evaluation lacks a rate it needs.
   struct Evaluation {
     std::string name;
     index_t nrows = 0;
@@ -167,9 +171,10 @@ class Autotuner {
     /// Simulated GFLOP/s per kernel configuration (a small config->rate map).
     std::vector<std::pair<sim::KernelConfig, double>> perf;
     /// GFLOP/s of the joint selection for every class bitmask 0..15
-    /// (mask 0 = baseline).
+    /// (mask 0 = baseline). Filled by evaluate() only.
     std::array<double, 16> class_mask_gflops{};
     /// GFLOP/s of each combined_optimization_sets() entry, in order.
+    /// Filled by evaluate() only.
     std::vector<double> combo_gflops;
     /// Wall-clock cost of the evaluation phases (bounds/features/simulate),
     /// carried into the trace of any plan derived from this evaluation.
@@ -184,7 +189,9 @@ class Autotuner {
   [[nodiscard]] Evaluation evaluate(const std::string& name, const CsrMatrix& m) const;
 
   // --- The unified entry points -------------------------------------------
-  /// Evaluate + plan in one call.
+  /// Equals plan(evaluate(m), opts), bit for bit. The profile and feature
+  /// policies simulate only what their plan reads: the bounds, then the one
+  /// config the classes select (nothing more when that is the baseline).
   [[nodiscard]] OptimizationPlan tune(const CsrMatrix& m, const TuneOptions& opts = {}) const;
   /// Plan from a precomputed evaluation (pure lookups).
   [[nodiscard]] OptimizationPlan plan(const Evaluation& e, const TuneOptions& opts = {}) const;
@@ -204,6 +211,16 @@ class Autotuner {
   [[nodiscard]] FeatureExtractionConfig extraction_config() const;
 
  private:
+  /// The step every evaluation starts with: symmetry, the bound
+  /// micro-benchmarks ("bounds" phase, which rate the baseline) and the
+  /// structural features ("features" phase).
+  [[nodiscard]] Evaluation measure(const std::string& name, const CsrMatrix& m) const;
+  /// Rate the candidates not yet in e.perf as one batch ("simulate" phase)
+  /// and record the tuner.evaluate.* telemetry.
+  void simulate(Evaluation& e, const CsrMatrix& m,
+                std::span<const sim::KernelConfig> candidates) const;
+  /// The profile classes (fc null) or the feature classes.
+  [[nodiscard]] BottleneckSet classify(const Evaluation& e, const FeatureClassifier* fc) const;
   [[nodiscard]] double setup_seconds(const std::vector<Optimization>& ops,
                                      double t_csr) const;
   [[nodiscard]] OptimizationPlan plan_from_classes(const Evaluation& e, BottleneckSet classes,

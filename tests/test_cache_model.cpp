@@ -2,6 +2,11 @@
 // miss accounting in the simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
+#include "common/prng.hpp"
 #include "machine/cache_model.hpp"
 
 namespace sparta {
@@ -133,6 +138,108 @@ TEST_P(CacheWorkingSet, CyclicReuse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheWorkingSet, ::testing::Values(1, 2, 4, 8, 16));
+
+// --- Same-line fast path against the walk-every-access oracle ---------------
+
+/// SetAssocCache without the same-line fast path: every access walks its set
+/// and stamps the touched way with a fresh tick.
+class ReferenceLruCache {
+ public:
+  ReferenceLruCache(std::size_t capacity_bytes, std::size_t line_bytes, int ways)
+      : line_bytes_(line_bytes), ways_(ways) {
+    const std::size_t lines = std::max<std::size_t>(capacity_bytes / line_bytes, ways_);
+    nsets_ = std::max<std::size_t>(std::bit_floor(lines / static_cast<std::size_t>(ways_)), 1);
+    lines_.assign(nsets_ * static_cast<std::size_t>(ways_), Line{});
+  }
+
+  bool access(std::uint64_t addr) {
+    const std::uint64_t tag = addr / line_bytes_;
+    Line* base = lines_.data() + (static_cast<std::size_t>(tag) & (nsets_ - 1)) *
+                                     static_cast<std::size_t>(ways_);
+    ++tick_;
+    Line* victim = base;
+    for (int w = 0; w < ways_; ++w) {
+      if (base[w].tag == tag) {
+        base[w].last_use = tick_;
+        return true;
+      }
+      if (base[w].last_use < victim->last_use) victim = &base[w];
+    }
+    victim->tag = tag;
+    victim->last_use = tick_;
+    return false;
+  }
+
+  void clear() {
+    std::fill(lines_.begin(), lines_.end(), Line{});
+    tick_ = 0;
+  }
+
+ private:
+  struct Line {
+    std::uint64_t tag = ~std::uint64_t{0};
+    std::uint64_t last_use = 0;
+  };
+  std::size_t line_bytes_;
+  std::size_t nsets_;
+  int ways_;
+  std::uint64_t tick_ = 0;
+  std::vector<Line> lines_;
+};
+
+/// Replays `addrs` through both caches (clearing both every `clear_every`
+/// accesses) and requires the same hit/miss at every step.
+void expect_same_sequence(std::size_t capacity, std::size_t line, int ways,
+                          const std::vector<std::uint64_t>& addrs, std::size_t clear_every) {
+  SetAssocCache fast{capacity, line, ways};
+  ReferenceLruCache ref{capacity, line, ways};
+  std::uint64_t hits = 0;
+  for (std::size_t k = 0; k < addrs.size(); ++k) {
+    if (k > 0 && k % clear_every == 0) {
+      fast.clear();
+      ref.clear();
+    }
+    const bool want = ref.access(addrs[k]);
+    ASSERT_EQ(fast.access(addrs[k]), want) << "access " << k << " addr " << addrs[k];
+    if (want) ++hits;
+  }
+  EXPECT_EQ(fast.hits(), hits);
+  EXPECT_EQ(fast.misses(), addrs.size() - hits);
+}
+
+TEST(Cache, SameLineFastPathMatchesOracleOnRandomStreams) {
+  Xoshiro256 rng{0xcac4e};
+  for (const int ways : {1, 2, 8}) {
+    // Random lines in a window a few times the capacity, each touched in a
+    // short run of same-line and neighbouring addresses (the CSR x stream).
+    std::vector<std::uint64_t> addrs;
+    while (addrs.size() < 40000) {
+      const std::uint64_t line = rng.bounded(256);
+      const std::uint64_t run = 1 + rng.bounded(6);
+      for (std::uint64_t r = 0; r < run; ++r) addrs.push_back(line * 64 + rng.bounded(80));
+    }
+    expect_same_sequence(64 * 64, 64, ways, addrs, 9973);
+  }
+}
+
+TEST(Cache, SameLineFastPathMatchesOracleOnStridedStreams) {
+  for (const std::uint64_t stride : {8U, 24U, 64U, 136U, 4096U}) {
+    std::vector<std::uint64_t> addrs;
+    for (int pass = 0; pass < 6; ++pass) {
+      for (std::uint64_t k = 0; k < 3000; ++k) addrs.push_back(k * stride);
+    }
+    expect_same_sequence(16 * 1024, 64, 4, addrs, 7001);
+    expect_same_sequence(1024, 32, 2, addrs, addrs.size());
+  }
+}
+
+TEST(Cache, ClearForgetsTheLastTouchedLine) {
+  SetAssocCache c{1024, 64, 2};
+  EXPECT_FALSE(c.access(128));
+  c.clear();
+  EXPECT_FALSE(c.access(128));  // not a same-line hit after clear
+  EXPECT_TRUE(c.access(130));
+}
 
 }  // namespace
 }  // namespace sparta

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "features/features.hpp"
 #include "gen/generators.hpp"
 #include "sparse/properties.hpp"
+#include "team_size.hpp"
 
 namespace sparta {
 namespace {
@@ -93,6 +97,132 @@ TEST(Properties, RectangularNeverSymmetric) {
   CooMatrix coo{2, 3};
   coo.add(0, 0, 1.0);
   EXPECT_FALSE(is_symmetric(CsrMatrix::from_coo(coo)));
+}
+
+// --- is_symmetric against a transpose oracle --------------------------------
+
+/// The transpose-and-compare definition is_symmetric must agree with.
+bool symmetric_by_transpose(const CsrMatrix& m, value_t tolerance) {
+  if (m.nrows() != m.ncols()) return false;
+  const CsrMatrix t = m.transpose();
+  if (!std::equal(m.rowptr().begin(), m.rowptr().end(), t.rowptr().begin(), t.rowptr().end())) {
+    return false;
+  }
+  for (std::size_t j = 0; j < m.colind().size(); ++j) {
+    if (m.colind()[j] != t.colind()[j]) return false;
+    if (std::abs(m.values()[j] - t.values()[j]) > tolerance) return false;
+  }
+  return true;
+}
+
+std::vector<Triplet> triplets_of(const CsrMatrix& m) {
+  std::vector<Triplet> out;
+  for (index_t i = 0; i < m.nrows(); ++i) {
+    const auto cols = m.row_cols(i);
+    const auto vals = m.row_vals(i);
+    for (std::size_t j = 0; j < cols.size(); ++j) out.push_back({i, cols[j], vals[j]});
+  }
+  return out;
+}
+
+CsrMatrix from_triplets(index_t nrows, index_t ncols, std::vector<Triplet> entries) {
+  return CsrMatrix::from_coo(CooMatrix::from_triplets(nrows, ncols, std::move(entries)));
+}
+
+/// A + A^T: every position sums the same two terms as its mirror, so the
+/// result is exactly symmetric.
+CsrMatrix symmetrized(const CsrMatrix& m) {
+  auto entries = triplets_of(m);
+  const std::size_t n = entries.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    entries.push_back({entries[k].col, entries[k].row, entries[k].value});
+  }
+  return from_triplets(m.nrows(), m.ncols(), std::move(entries));
+}
+
+/// One small instance of each generator family of the differential harness.
+std::vector<CsrMatrix> family_matrices(std::uint64_t seed) {
+  const auto n = static_cast<index_t>(60 + 37 * seed);
+  return {gen::banded(n, 9, 5, seed),         gen::random_uniform(n, 7, seed),
+          gen::powerlaw(n, 1.6, 40, seed),     gen::fem_like(n, 3, 4, n / 4 + 1, seed),
+          gen::circuit_like(n, 2, 2, n / 2, seed), gen::dense_rows_wide(n, 12, seed),
+          gen::block_diagonal(n, 5, seed),    gen::hybrid_regions(n, 0.5, 4, seed),
+          gen::stencil5(7, 9)};
+}
+
+void expect_matches_oracle(const CsrMatrix& m, value_t tolerance, const std::string& what) {
+  const bool want = symmetric_by_transpose(m, tolerance);
+  for (const int threads : {1, 4}) {
+    const TeamSize team{threads};
+    EXPECT_EQ(is_symmetric(m, tolerance), want) << what << " @" << threads;
+  }
+}
+
+TEST(Properties, SymmetryMatchesTransposeOnGeneratorFamilies) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto mats = family_matrices(seed);
+    for (std::size_t f = 0; f < mats.size(); ++f) {
+      const std::string what = "seed " + std::to_string(seed) + " family " + std::to_string(f);
+      expect_matches_oracle(mats[f], 0.0, what);
+      const CsrMatrix sym = symmetrized(mats[f]);
+      ASSERT_TRUE(symmetric_by_transpose(sym, 0.0)) << what;
+      expect_matches_oracle(sym, 0.0, what + " symmetrized");
+    }
+  }
+}
+
+TEST(Properties, SymmetryValueAsymmetryRespectsTolerance) {
+  const CsrMatrix sym = symmetrized(gen::random_uniform(200, 6, 71));
+  auto entries = triplets_of(sym);
+  const auto off = std::find_if(entries.begin(), entries.end(),
+                                [](const Triplet& t) { return t.row < t.col; });
+  ASSERT_NE(off, entries.end());
+  off->value += 1e-9;
+  const CsrMatrix skewed = from_triplets(sym.nrows(), sym.ncols(), std::move(entries));
+  for (const value_t tol : {0.0, 1e-10, 2e-9, 1.0}) {
+    expect_matches_oracle(skewed, tol, "tolerance " + std::to_string(tol));
+  }
+  EXPECT_FALSE(is_symmetric(skewed));
+  EXPECT_TRUE(is_symmetric(skewed, 2e-9));
+}
+
+TEST(Properties, SymmetryPatternAsymmetryAndShapes) {
+  // One extra lower entry whose upper mirror is missing (the strict
+  // triangles then differ in count as well as pattern).
+  const CsrMatrix sym = symmetrized(gen::banded(150, 6, 4, 72));
+  auto entries = triplets_of(sym);
+  entries.push_back({149, 0, 1.0});
+  const CsrMatrix one_sided = from_triplets(150, 150, std::move(entries));
+  expect_matches_oracle(one_sided, 1e9, "one-sided entry");
+  EXPECT_FALSE(is_symmetric(one_sided, 1e9));
+
+  // Rectangular, and an empty matrix.
+  const CsrMatrix wide = from_triplets(3, 4, {{0, 1, 1.0}, {1, 0, 1.0}});
+  expect_matches_oracle(wide, 0.0, "non-square");
+  EXPECT_FALSE(is_symmetric(wide));
+  const CsrMatrix empty = from_triplets(5, 5, {});
+  expect_matches_oracle(empty, 0.0, "empty");
+  EXPECT_TRUE(is_symmetric(empty));
+}
+
+TEST(Properties, SymmetryWithEmptyRows) {
+  // Entries only among multiples of 3: two rows in three are empty, and a
+  // mirror lookup can land in an empty row.
+  std::vector<Triplet> entries;
+  for (index_t i = 0; i < 90; i += 3) {
+    entries.push_back({i, i, 2.0});
+    if (i + 9 < 90) {
+      entries.push_back({i, i + 9, -0.5});
+      entries.push_back({i + 9, i, -0.5});
+    }
+  }
+  const CsrMatrix gappy = from_triplets(90, 90, entries);
+  expect_matches_oracle(gappy, 0.0, "empty rows");
+  EXPECT_TRUE(is_symmetric(gappy));
+  entries.push_back({4, 3, 1.0});  // row 4 was empty; its mirror row 3 lacks column 4
+  const CsrMatrix broken = from_triplets(90, 90, std::move(entries));
+  expect_matches_oracle(broken, 0.0, "entry in an empty row");
+  EXPECT_FALSE(is_symmetric(broken));
 }
 
 TEST(Properties, EmptyRowCount) {

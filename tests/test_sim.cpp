@@ -335,6 +335,33 @@ TEST(SimBatch, EqualsSingleOnDeltaIncompressible) {
   expect_batch_matches_single(m, "incompressible");
 }
 
+TEST(SimBatch, BatchOfOneIndependentOfTeamSize) {
+  // A batch of one static config splits into one item per modeled thread;
+  // a dynamic config stays whole. Either way the result must not depend on
+  // the host team, and must equal its slot in a larger batch.
+  const CsrMatrix m = gen::circuit_like(20000, 3, 4, 12000, 110);
+  ASSERT_GT(DecomposedCsrMatrix::decompose(m).long_rows().size(), 0U);
+  KernelConfig dec;
+  dec.decomposed = true;
+  dec.vectorized = true;
+  KernelConfig rows = dec;
+  rows.schedule = sim::Schedule::kStaticRows;
+  KernelConfig dyn = dec;
+  dyn.schedule = sim::Schedule::kDynamicChunks;
+  const std::vector<KernelConfig> cfgs{dec, rows, dyn};
+  const auto together = sim::simulate_spmv_batch(m, knc(), cfgs);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    for (const int threads : {1, 4}) {
+      const TeamSize team{threads};
+      const auto one = sim::simulate_spmv_batch(m, knc(), std::span{&cfgs[i], 1});
+      ASSERT_EQ(one.size(), 1U);
+      EXPECT_EQ(one.front().long_rows, together[i].long_rows);
+      expect_bitwise(one.front(), together[i],
+                     cfgs[i].describe() + " alone @" + std::to_string(threads));
+    }
+  }
+}
+
 TEST(SimBatch, DuplicateConfigsGetIdenticalSlots) {
   const CsrMatrix m = gen::circuit_like(20000, 3, 4, 12000, 107);
   KernelConfig dec;
@@ -357,7 +384,7 @@ TEST(SimBatch, EmptySpanYieldsNoResults) {
 TEST(SimBatch, ForwardsSimulationErrors) {
   const CsrMatrix m = gen::stencil27(8, 8, 8);
   MachineSpec bad = knc();
-  bad.cores = 0;  // no modeled threads: partitioning refuses, inside the parallel loop
+  bad.cores = 0;  // no modeled threads: the batch refuses before replaying
   const std::vector<KernelConfig> cfgs(4);
   const TeamSize team{4};
   EXPECT_THROW((void)sim::simulate_spmv_batch(m, bad, cfgs), std::invalid_argument);

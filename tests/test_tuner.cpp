@@ -4,6 +4,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
@@ -235,6 +239,66 @@ TEST_F(AutotunerFixture, TuneConvenienceWrappers) {
   const auto plan = tuner().tune(m);
   EXPECT_GT(plan.gflops, 0.0);
   EXPECT_GT(plan.t_spmv_seconds, 0.0);
+}
+
+/// The trace with its phase timings zeroed (names and order are kept).
+obs::TuneTrace without_timings(const obs::TuneTrace& t) {
+  obs::TuneTrace out = t;
+  for (auto& p : out.phases) p.micros = 0.0;
+  return out;
+}
+
+TEST_F(AutotunerFixture, TuneEqualsPlanOfEvaluateForEveryPolicy) {
+  // Profile and feature tuning simulate only the selected config; the plan
+  // must still be bit-for-bit the one derived from the full evaluation.
+  const auto fc = FeatureClassifier::train(std::vector<TrainingSample>{
+      tuner().label(scattered_eval()), tuner().label(skewed_eval()),
+      tuner().label(gen::banded(20000, 200, 8, 141)),
+      tuner().label(gen::stencil27(12, 12, 12))});
+  const std::vector<std::pair<std::string, CsrMatrix>> matrices{
+      {"stencil", gen::stencil27(14, 14, 14)},
+      {"powerlaw", gen::powerlaw(20000, 1.6, 3000, 142)},
+      {"circuit", gen::circuit_like(20000, 3, 4, 12000, 143)},
+      {"incompressible", gen::random_uniform(80000, 4, 144)}};
+  for (const auto& [name, m] : matrices) {
+    const auto e = tuner().evaluate(name, m);
+    for (const auto policy : {TunePolicy::kProfile, TunePolicy::kFeature, TunePolicy::kOracle,
+                              TunePolicy::kTrivialSingle, TunePolicy::kTrivialCombined}) {
+      const TuneOptions opts{
+          .policy = policy, .classifier = &fc, .name = name, .collect_trace = true};
+      const auto want = tuner().plan(e, opts);
+      const auto got = tuner().tune(m, opts);
+      const std::string what = name + " " + to_string(policy);
+      EXPECT_EQ(got.strategy, want.strategy) << what;
+      EXPECT_EQ(got.classes.mask(), want.classes.mask()) << what;
+      EXPECT_EQ(got.optimizations, want.optimizations) << what;
+      EXPECT_EQ(got.config, want.config) << what;
+      EXPECT_EQ(bits(got.gflops), bits(want.gflops)) << what;
+      EXPECT_EQ(bits(got.t_spmv_seconds), bits(want.t_spmv_seconds)) << what;
+      EXPECT_EQ(bits(got.t_pre_seconds), bits(want.t_pre_seconds)) << what;
+      ASSERT_TRUE(got.trace && want.trace) << what;
+      EXPECT_EQ(without_timings(*got.trace), without_timings(*want.trace)) << what;
+    }
+  }
+}
+
+TEST_F(AutotunerFixture, PlanThrowsOnEvaluationLackingARate) {
+  // Only the baseline rated: the ML-class selection (prefetch) is absent, and
+  // so is the candidate sweep.
+  Autotuner::Evaluation partial = scattered_eval();
+  partial.perf.resize(1);
+  partial.combo_gflops.clear();
+  ASSERT_NE(tuner().plan(scattered_eval()).config, sim::baseline_config());
+  for (const auto policy : {TunePolicy::kProfile, TunePolicy::kOracle,
+                            TunePolicy::kTrivialSingle, TunePolicy::kTrivialCombined}) {
+    EXPECT_THROW((void)tuner().plan(partial, {.policy = policy}), std::out_of_range)
+        << to_string(policy);
+  }
+}
+
+TEST_F(AutotunerFixture, FeatureTuneWithoutClassifierThrows) {
+  EXPECT_THROW((void)tuner().tune(gen::stencil5(8, 8), {.policy = TunePolicy::kFeature}),
+               std::invalid_argument);
 }
 
 TEST_F(AutotunerFixture, LabelUsesProfileClassifier) {
