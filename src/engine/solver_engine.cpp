@@ -2,8 +2,10 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "common/numa.hpp"
 #include "common/timer.hpp"
@@ -33,6 +35,37 @@ double sum_b(const aligned_vector<Slot>& slots, int nt) {
   return acc;
 }
 
+/// Count one solve's stop reason as `engine.stop.<reason>`. The names are
+/// literals so that recording a reason allocates nothing.
+void count_stop(obs::Registry& reg, solvers::StopReason reason) {
+  switch (reason) {
+    case solvers::StopReason::converged: reg.counter("engine.stop.converged").add(); return;
+    case solvers::StopReason::max_iterations:
+      reg.counter("engine.stop.max_iterations").add();
+      return;
+    case solvers::StopReason::breakdown: reg.counter("engine.stop.breakdown").add(); return;
+    case solvers::StopReason::non_finite: reg.counter("engine.stop.non_finite").add(); return;
+  }
+}
+
+// Serial BLAS-1 for GMRES's dense Arnoldi work (the region solvers fuse
+// theirs into the owned-row sweeps). GMRES spells out every fused
+// multiply-add, here and in its Givens and back-substitution steps, so its
+// rounding does not depend on how the compiler contracts or vectorizes an
+// inlined call site: dot is an in-order FMA chain.
+double dot(std::span<const value_t> a, std::span<const value_t> b) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) acc = std::fma(a[i], b[i], acc);
+  return acc;
+}
+
+double norm2(std::span<const value_t> a) { return std::sqrt(dot(a, a)); }
+
+/// y += alpha * x
+void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y) {
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::fma(alpha, x[i], y[i]);
+}
+
 }  // namespace
 
 SolverEngine::SolverEngine(const CsrMatrix& a, const sim::KernelConfig& cfg,
@@ -53,6 +86,10 @@ SolverEngine::SolverEngine(const CsrMatrix& a,
     : a_(&a), opts_(opts), prepared_(std::move(prepared)) {
   if (!prepared_) {
     throw std::invalid_argument{"SolverEngine: prepared kernel must be non-null"};
+  }
+  if (prepared_->nrows() != a.nrows() || prepared_->ncols() != a.ncols()) {
+    throw std::invalid_argument{
+        "SolverEngine: prepared kernel was built from a matrix of different dimensions"};
   }
   // The region partition is fixed at preparation time; the engine must run
   // exactly that many threads.
@@ -110,7 +147,8 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
   struct State {
     double threshold = 0.0, rr = 0.0, rz = 0.0, alpha = 0.0, beta = 0.0;
     int iters = 0;
-    bool stop = false, converged = false;
+    bool stop = false;
+    solvers::StopReason reason = solvers::StopReason::max_iterations;
   } st;
   double spmv_seconds = 0.0;
   int fused_passes = 0;
@@ -191,8 +229,12 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
     for (int it = 0; it < max_it; ++it) {
 #pragma omp single
       {
-        if (std::sqrt(st.rr) <= st.threshold) {
-          st.converged = true;
+        // Non-finite first: an infinite b makes the threshold infinite too.
+        if (!std::isfinite(st.rr)) {
+          st.reason = solvers::StopReason::non_finite;
+          st.stop = true;
+        } else if (std::sqrt(st.rr) <= st.threshold) {
+          st.reason = solvers::StopReason::converged;
           st.stop = true;
         }
         if (track && !st.stop) iter_timer.reset();
@@ -222,7 +264,11 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
       {
         const double pap = sum_a(slots, nt);
         if (pap == 0.0) {
-          st.stop = true;  // breakdown
+          st.reason = solvers::StopReason::breakdown;
+          st.stop = true;
+        } else if (!std::isfinite(pap)) {
+          st.reason = solvers::StopReason::non_finite;
+          st.stop = true;
         } else {
           st.alpha = st.rz / pap;
         }
@@ -273,12 +319,14 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
     result.iter_seconds.resize(static_cast<std::size_t>(st.iters));
   }
   result.iterations = st.iters;
-  result.converged = st.converged;
+  result.stop_reason = st.reason;
+  result.converged = st.reason == solvers::StopReason::converged;
   result.residual_norm = std::sqrt(st.rr);
   result.spmv_seconds = spmv_seconds;
   result.seconds = total.seconds();
   auto& reg = obs::Registry::global();
   reg.counter("engine.cg.solves").add();
+  count_stop(reg, st.reason);
   if (sym) reg.counter("engine.cg.symmetric_solves").add();
   reg.counter("engine.cg.iterations").add(st.iters);
   reg.counter("engine.fused_spmv_dot.passes").add(fused_passes);
@@ -342,7 +390,8 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
     double threshold = 0.0, rr = 0.0, rho = 0.0, alpha = 0.0, beta = 0.0, omega = 0.0,
            ss = 0.0;
     int iters = 0;
-    bool stop = false, converged = false, early = false;
+    bool stop = false, early = false;
+    solvers::StopReason reason = solvers::StopReason::max_iterations;
   } st;
   double spmv_seconds = 0.0;
   int fused_passes = 0;
@@ -413,11 +462,15 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
     for (int it = 0; it < max_it; ++it) {
 #pragma omp single
       {
-        if (std::sqrt(st.rr) <= st.threshold) {
-          st.converged = true;
+        if (!std::isfinite(st.rr) || !std::isfinite(st.rho)) {
+          st.reason = solvers::StopReason::non_finite;  // before the test: see cg
+          st.stop = true;
+        } else if (std::sqrt(st.rr) <= st.threshold) {
+          st.reason = solvers::StopReason::converged;
           st.stop = true;
         } else if (st.rho == 0.0) {
-          st.stop = true;  // breakdown
+          st.reason = solvers::StopReason::breakdown;
+          st.stop = true;
         }
         if (track && !st.stop) iter_timer.reset();
       }
@@ -437,6 +490,10 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
       {
         const double r0v = sum_a(slots, nt);
         if (r0v == 0.0) {
+          st.reason = solvers::StopReason::breakdown;
+          st.stop = true;
+        } else if (!std::isfinite(r0v)) {
+          st.reason = solvers::StopReason::non_finite;
           st.stop = true;
         } else {
           st.alpha = st.rho / r0v;
@@ -473,7 +530,7 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
         {
           st.iters = it + 1;
           st.rr = st.ss;
-          st.converged = true;
+          st.reason = solvers::StopReason::converged;
           if (track) {
             result.residual_history[static_cast<std::size_t>(it)] = std::sqrt(st.rr);
             result.iter_seconds[static_cast<std::size_t>(it)] = iter_timer.seconds();
@@ -503,10 +560,17 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
         const double ts = sum_a(slots, nt);
         const double tt = sum_b(slots, nt);
         if (tt == 0.0) {
+          st.reason = solvers::StopReason::breakdown;
+          st.stop = true;
+        } else if (!std::isfinite(tt) || !std::isfinite(ts)) {
+          st.reason = solvers::StopReason::non_finite;
           st.stop = true;
         } else {
           st.omega = ts / tt;
-          if (st.omega == 0.0) st.stop = true;
+          if (st.omega == 0.0) {
+            st.reason = solvers::StopReason::breakdown;
+            st.stop = true;
+          }
         }
       }
       if (st.stop) break;
@@ -553,17 +617,177 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
     result.iter_seconds.resize(static_cast<std::size_t>(st.iters));
   }
   result.iterations = st.iters;
-  result.converged = st.converged;
+  result.stop_reason = st.reason;
+  result.converged = st.reason == solvers::StopReason::converged;
   result.residual_norm = std::sqrt(st.rr);
   result.spmv_seconds = spmv_seconds;
   result.seconds = total.seconds();
   auto& reg = obs::Registry::global();
   reg.counter("engine.bicgstab.solves").add();
+  count_stop(reg, st.reason);
   reg.counter("engine.bicgstab.iterations").add(st.iters);
   reg.counter("engine.fused_spmv_dot.passes").add(fused_passes);
   if (track) {
     const obs::Histogram h = reg.histogram("engine.bicgstab.iter_micros");
     for (double s : result.iter_seconds) h.record(s * 1e6);
+  }
+  return result;
+}
+
+solvers::SolveResult SolverEngine::gmres(std::span<const value_t> b,
+                                         std::span<value_t> x) const {
+  const CsrMatrix& a = *a_;
+  if (a.nrows() != a.ncols()) throw std::invalid_argument{"engine gmres: matrix must be square"};
+  const auto n = static_cast<std::size_t>(a.nrows());
+  if (b.size() != n || x.size() != n) {
+    throw std::invalid_argument{"engine gmres: vector size mismatch"};
+  }
+
+  constexpr int m = kGmresRestart;
+  constexpr auto mz = static_cast<std::size_t>(m);
+  const int max_it = opts_.max_iterations;
+  const kernels::PreparedSpmv& spmv = *prepared_;
+
+  solvers::SolveResult result;
+  solvers::StopReason reason = solvers::StopReason::max_iterations;
+  Timer total;
+  Timer spmv_timer;
+  Timer iter_timer;
+  const bool track = obs::enabled();
+  if (track) {
+    result.residual_history.resize(static_cast<std::size_t>(max_it));
+    result.iter_seconds.resize(static_cast<std::size_t>(max_it));
+  }
+
+  const double b_norm = norm2(b);
+  const double threshold = opts_.tolerance * (b_norm > 0.0 ? b_norm : 1.0);
+
+  // Krylov basis v_0..v_m (n values each) and the (m+1) x m Hessenberg
+  // matrix, both row-major and allocated once: every restart overwrites the
+  // entries it reads (H column k rows 0..k+1 are written before the
+  // back-substitution reads them), so nothing is refilled between cycles.
+  aligned_vector<value_t> basis((mz + 1) * n);
+  std::vector<double> h((mz + 1) * mz, 0.0);
+  std::vector<double> cs(mz, 0.0), sn(mz, 0.0), g(mz + 1, 0.0), y(mz, 0.0);
+  aligned_vector<value_t> w(n);
+  const auto v = [&](int i) {
+    return std::span<value_t>{basis}.subspan(static_cast<std::size_t>(i) * n, n);
+  };
+  const auto hh = [&](int i, int j) -> double& {
+    return h[static_cast<std::size_t>(i) * mz + static_cast<std::size_t>(j)];
+  };
+  const auto spmv_into_w = [&](std::span<const value_t> in) {
+    spmv_timer.reset();
+    spmv.run(in, w);
+    result.spmv_seconds += spmv_timer.seconds();
+  };
+
+  while (result.iterations < max_it) {
+    // v_0 = r / ||r||, r = b - A x.
+    spmv_into_w(x);
+    const auto v0 = v(0);
+    for (std::size_t i = 0; i < n; ++i) v0[i] = b[i] - w[i];
+    const double beta = norm2(v0);
+    result.residual_norm = beta;
+    if (!std::isfinite(beta)) {
+      reason = solvers::StopReason::non_finite;  // before the test: see cg
+      break;
+    }
+    if (beta <= threshold) {
+      reason = solvers::StopReason::converged;
+      break;
+    }
+    for (std::size_t i = 0; i < n; ++i) v0[i] /= beta;
+    std::fill(g.begin(), g.end(), 0.0);
+    g[0] = beta;
+
+    int k = 0;
+    for (; k < m && result.iterations < max_it; ++k) {
+      if (track) iter_timer.reset();
+      ++result.iterations;
+      // Arnoldi step: w = A v_k, orthogonalized against v_0..v_k (MGS).
+      spmv_into_w(v(k));
+      for (int i = 0; i <= k; ++i) {
+        const double hik = dot(w, v(i));
+        hh(i, k) = hik;
+        axpy(-hik, v(i), w);
+      }
+      const double hk1 = norm2(w);
+      hh(k + 1, k) = hk1;
+      if (hk1 > 0.0) {
+        const auto vk1 = v(k + 1);
+        for (std::size_t i = 0; i < n; ++i) vk1[i] = w[i] / hk1;
+      }
+
+      // Apply the previous Givens rotations to the new column, then the
+      // one that annihilates H(k+1, k).
+      for (int i = 0; i < k; ++i) {
+        const auto iz = static_cast<std::size_t>(i);
+        const double t1 = std::fma(cs[iz], hh(i, k), sn[iz] * hh(i + 1, k));
+        const double t2 = std::fma(-sn[iz], hh(i, k), cs[iz] * hh(i + 1, k));
+        hh(i, k) = t1;
+        hh(i + 1, k) = t2;
+      }
+      const auto kz = static_cast<std::size_t>(k);
+      const double denom = std::hypot(hh(k, k), hh(k + 1, k));
+      if (denom == 0.0) {
+        reason = solvers::StopReason::breakdown;
+        break;
+      }
+      cs[kz] = hh(k, k) / denom;
+      sn[kz] = hh(k + 1, k) / denom;
+      hh(k, k) = denom;
+      hh(k + 1, k) = 0.0;
+      const double g_k = cs[kz] * g[kz];
+      g[kz + 1] = -sn[kz] * g[kz];
+      g[kz] = g_k;
+
+      // |g_{k+1}| is the residual norm of the current least-squares iterate.
+      result.residual_norm = std::abs(g[kz + 1]);
+      if (track) {
+        const auto it = static_cast<std::size_t>(result.iterations - 1);
+        result.residual_history[it] = result.residual_norm;
+        result.iter_seconds[it] = iter_timer.seconds();
+      }
+      if (result.residual_norm <= threshold) {
+        ++k;
+        break;
+      }
+      if (!std::isfinite(result.residual_norm)) {
+        reason = solvers::StopReason::non_finite;
+        break;  // column k is not applied
+      }
+    }
+
+    // Back-substitute H y = g over the k finished columns, then x += V y.
+    for (int i = k - 1; i >= 0; --i) {
+      double acc = g[static_cast<std::size_t>(i)];
+      for (int j = i + 1; j < k; ++j) acc = std::fma(-hh(i, j), y[static_cast<std::size_t>(j)], acc);
+      y[static_cast<std::size_t>(i)] = hh(i, i) != 0.0 ? acc / hh(i, i) : 0.0;
+    }
+    for (int i = 0; i < k; ++i) axpy(y[static_cast<std::size_t>(i)], v(i), x);
+
+    if (result.residual_norm <= threshold) {
+      reason = solvers::StopReason::converged;
+      break;
+    }
+    if (reason != solvers::StopReason::max_iterations) break;
+  }
+
+  if (track) {
+    result.residual_history.resize(static_cast<std::size_t>(result.iterations));
+    result.iter_seconds.resize(static_cast<std::size_t>(result.iterations));
+  }
+  result.stop_reason = reason;
+  result.converged = reason == solvers::StopReason::converged;
+  result.seconds = total.seconds();
+  auto& reg = obs::Registry::global();
+  reg.counter("engine.gmres.solves").add();
+  reg.counter("engine.gmres.iterations").add(result.iterations);
+  count_stop(reg, reason);
+  if (track) {
+    const obs::Histogram hist = reg.histogram("engine.gmres.iter_micros");
+    for (double s : result.iter_seconds) hist.record(s * 1e6);
   }
   return result;
 }

@@ -18,11 +18,12 @@
 //  - matrix streams and solver vectors are first-touch initialized by their
 //    owning threads (see NumaArray and PreparedSpmv's first_touch mode).
 //
-// CG and BiCGSTAB are ported onto the engine; GMRES keeps the legacy path
-// (its Arnoldi recurrence is dense-dominated, not SpMV-dominated). The
-// legacy solvers in src/solvers/ remain the reference implementations the
-// engine is validated against: both paths replicate the same iteration
-// semantics, so results agree to reduction rounding.
+// CG and BiCGSTAB run this way. Restarted GMRES is dense-dominated (its
+// Arnoldi/Givens work grows with the Krylov dimension, not with nnz), so it
+// keeps its dense work serial and drives the same prepared kernel through
+// the one-shot PreparedSpmv::run(). The engine is the only solver
+// implementation; the tests validate it against a textbook oracle over
+// spmv_reference (tests/solver_oracle.hpp).
 #pragma once
 
 #include <memory>
@@ -36,12 +37,15 @@
 
 namespace sparta::engine {
 
+/// Krylov subspace dimension m of GMRES(m).
+inline constexpr int kGmresRestart = 30;
+
 struct EngineOptions {
   /// Region width; 0 means omp_get_max_threads().
   int threads = 0;
   /// First-touch the matrix streams and solver vectors NUMA-locally.
   bool first_touch = true;
-  /// Jacobi (diagonal) preconditioning — CG only, mirrors CgOptions.
+  /// Jacobi (diagonal) preconditioning — CG only.
   bool jacobi = false;
   int max_iterations = 1000;
   double tolerance = 1e-8;  // on ||r|| / ||b||
@@ -56,16 +60,23 @@ class SolverEngine {
 
   /// Adopt an already-prepared kernel instance (e.g. from the tuner's
   /// PlanCache) instead of re-running preprocessing. `prepared` must be
-  /// non-null, built from `a`, and its thread count wins over opts.threads.
+  /// non-null and built from `a` (std::invalid_argument if null or if its
+  /// dimensions differ from a's); its thread count wins over opts.threads.
   SolverEngine(const CsrMatrix& a, std::shared_ptr<const kernels::PreparedSpmv> prepared,
                const EngineOptions& opts = {});
 
-  /// Fused CG for SPD A. `x` holds the initial guess on entry and the
-  /// solution on exit. Same iteration semantics as solvers::cg.
+  /// Fused CG for SPD A (Jacobi-preconditioned if opts.jacobi). `x` holds
+  /// the initial guess on entry and the solution on exit.
   solvers::SolveResult cg(std::span<const value_t> b, std::span<value_t> x) const;
 
-  /// Fused BiCGSTAB. Same iteration semantics as solvers::bicgstab.
+  /// Fused BiCGSTAB (van der Vorst 1992) for general A: two SpMVs per
+  /// iteration.
   solvers::SolveResult bicgstab(std::span<const value_t> b, std::span<value_t> x) const;
+
+  /// Restarted GMRES(kGmresRestart) for general A: Arnoldi with modified
+  /// Gram-Schmidt, Givens rotations for the least-squares update. One SpMV
+  /// per iteration; opts.max_iterations bounds the SpMVs across restarts.
+  solvers::SolveResult gmres(std::span<const value_t> b, std::span<value_t> x) const;
 
   /// Y = alpha * A * X + beta * Y over dense operand blocks (X: ncols x k,
   /// Y: nrows x k), executed inside one persistent parallel region: each

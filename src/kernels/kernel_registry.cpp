@@ -513,6 +513,10 @@ void PreparedSpmv::run(std::span<const value_t> x, std::span<value_t> y, value_t
   run(ConstDenseBlockView::from_vector(x), DenseBlockView::from_vector(y), alpha, beta);
 }
 
+index_t PreparedSpmv::nrows() const { return prepared_->source->nrows(); }
+
+index_t PreparedSpmv::ncols() const { return prepared_->source->ncols(); }
+
 std::span<const RowRange> PreparedSpmv::region_parts() const {
   return prepared_->region_parts;
 }

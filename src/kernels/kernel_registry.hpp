@@ -137,6 +137,9 @@ class PreparedSpmv {
   [[nodiscard]] const KernelConfig& config() const { return config_; }
   /// The resolved thread/partition count (never 0).
   [[nodiscard]] int threads() const { return threads_; }
+  /// Dimensions of the source matrix this instance was prepared from.
+  [[nodiscard]] index_t nrows() const;
+  [[nodiscard]] index_t ncols() const;
   [[nodiscard]] bool delta_applied() const { return delta_applied_; }
   /// Whether the kernel actually runs on symmetric (lower-triangle +
   /// diagonal) storage. False when the config never asked for it or when

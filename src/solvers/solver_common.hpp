@@ -1,29 +1,37 @@
-// Shared pieces of the iterative solvers: the SpMV callback type and the
-// result record. Solvers take any SpMV implementation (baseline kernel, a
-// PreparedSpmv from the tuner, the vendor kernel), which is how the
-// amortization experiments plug optimized kernels into the solver loop.
+// The result record of the iterative solvers (engine::SolverEngine's CG,
+// BiCGSTAB and GMRES): iteration count, residual, why the solve stopped,
+// and the wall-time split the amortization analysis (§IV-D) charges.
 #pragma once
 
-#include <functional>
-#include <span>
+#include <cstdint>
 #include <vector>
-
-#include "common/types.hpp"
-#include "sparse/csr.hpp"
 
 namespace sparta::solvers {
 
-/// y = A * x callback.
-using SpmvFn = std::function<void(std::span<const value_t>, std::span<value_t>)>;
+/// Why a solve returned.
+enum class StopReason : std::uint8_t {
+  converged,       // ||r|| <= tolerance * ||b||
+  max_iterations,  // iteration budget spent first
+  breakdown,       // a recurrence denominator hit exactly zero
+  non_finite,      // a residual norm or recurrence scalar became NaN/Inf
+};
 
-/// Default SpMV: the serial reference kernel on the given matrix.
-SpmvFn reference_spmv(const CsrMatrix& a);
+[[nodiscard]] constexpr const char* to_string(StopReason reason) {
+  switch (reason) {
+    case StopReason::converged: return "converged";
+    case StopReason::max_iterations: return "max_iterations";
+    case StopReason::breakdown: return "breakdown";
+    case StopReason::non_finite: return "non_finite";
+  }
+  return "unknown";
+}
 
 /// Convergence report.
 struct SolveResult {
   int iterations = 0;
   double residual_norm = 0.0;
-  bool converged = false;
+  bool converged = false;  // stop_reason == StopReason::converged
+  StopReason stop_reason = StopReason::max_iterations;
   /// Total wall seconds and the share spent inside SpMV (for the
   /// amortization analysis, which assumes t_other is SpMV-independent).
   double seconds = 0.0;
@@ -34,14 +42,5 @@ struct SolveResult {
   std::vector<double> residual_history;
   std::vector<double> iter_seconds;
 };
-
-// Small dense-vector helpers used by the solvers (serial; the vectors are
-// tiny compared to the SpMV work).
-double dot(std::span<const value_t> a, std::span<const value_t> b);
-double norm2(std::span<const value_t> a);
-/// y += alpha * x
-void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y);
-/// y = x + beta * y
-void xpby(std::span<const value_t> x, value_t beta, std::span<value_t> y);
 
 }  // namespace sparta::solvers

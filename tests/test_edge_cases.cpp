@@ -3,12 +3,11 @@
 // and the solvers. These are the inputs that break real libraries.
 #include <gtest/gtest.h>
 
+#include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
-#include "solvers/cg.hpp"
-#include "solvers/gmres.hpp"
 #include "tuner/optimizer.hpp"
 
 namespace sparta {
@@ -65,12 +64,17 @@ TEST(EdgeCases, OneByOneEverywhere) {
 
 TEST(EdgeCases, OneByOneSolvers) {
   const CsrMatrix m = one_by_one(4.0);
+  const engine::SolverEngine eng{m};
   aligned_vector<value_t> b{8.0}, x{0.0};
-  const auto cg = solvers::cg(m, b, x);
+  const auto cg = eng.cg(b, x);
   EXPECT_TRUE(cg.converged);
   EXPECT_NEAR(x[0], 2.0, 1e-10);
+  aligned_vector<value_t> xb{0.0};
+  const auto bi = eng.bicgstab(b, xb);
+  EXPECT_TRUE(bi.converged);
+  EXPECT_NEAR(xb[0], 2.0, 1e-10);
   aligned_vector<value_t> xg{0.0};
-  const auto gm = solvers::gmres(m, b, xg);
+  const auto gm = eng.gmres(b, xg);
   EXPECT_TRUE(gm.converged);
   EXPECT_NEAR(xg[0], 2.0, 1e-10);
 }
@@ -152,22 +156,29 @@ TEST(EdgeCases, AllRowsEmptyExceptOne) {
 }
 
 TEST(EdgeCases, GmresRestartLargerThanDimension) {
+  // n = 20 < kGmresRestart: the Krylov space is exhausted before the first
+  // restart, so the solve must still terminate and converge.
+  static_assert(engine::kGmresRestart > 20);
   const CsrMatrix m = gen::make_diagonally_dominant(gen::banded(20, 3, 3, 901), 902);
   aligned_vector<value_t> b(20, 1.0), x(20, 0.0);
-  solvers::GmresOptions opts;
-  opts.restart = 100;  // larger than n: must still terminate and converge
-  const auto r = solvers::gmres(m, b, x, opts);
+  const auto r = engine::SolverEngine{m}.gmres(b, x);
   EXPECT_TRUE(r.converged);
+  EXPECT_LE(r.iterations, 20);
 }
 
-TEST(EdgeCases, CgStartingAtSolution) {
+TEST(EdgeCases, SolversStartingAtSolution) {
   const CsrMatrix m = gen::stencil5(6, 6);
   aligned_vector<value_t> x_true(36, 1.0), b(36), x(36);
   spmv_reference(m, x_true, b);
-  std::copy(x_true.begin(), x_true.end(), x.begin());
-  const auto r = solvers::cg(m, b, x);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.iterations, 0);
+  const engine::SolverEngine eng{m};
+  for (const int method : {0, 1, 2}) {
+    std::copy(x_true.begin(), x_true.end(), x.begin());
+    const auto r = method == 0   ? eng.cg(b, x)
+                   : method == 1 ? eng.bicgstab(b, x)
+                                 : eng.gmres(b, x);
+    EXPECT_TRUE(r.converged) << method;
+    EXPECT_EQ(r.iterations, 0) << method;
+  }
 }
 
 TEST(EdgeCases, GeneratorsDegenerateSizes) {

@@ -1,8 +1,8 @@
 // Tests for the persistent-parallel solver execution engine (src/engine/)
 // and the region-reentrant PreparedSpmv API it drives: run_local /
 // run_local_dot correctness against the serial reference, NUMA first-touch
-// equivalence, partition edge cases, and fused-vs-legacy solver agreement
-// on the generator suite.
+// equivalence, partition edge cases, and engine-vs-oracle solver agreement
+// on the generator suite (the oracle is tests/solver_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,8 +12,7 @@
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "solvers/bicgstab.hpp"
-#include "solvers/cg.hpp"
+#include "solver_oracle.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/partition.hpp"
 
@@ -163,6 +162,9 @@ TEST(EngineEdge, EmptyMatrixSolvesTrivially) {
   const auto rb = eng.bicgstab(b, x);
   EXPECT_TRUE(rb.converged);
   EXPECT_EQ(rb.iterations, 0);
+  const auto rg = eng.gmres(b, x);
+  EXPECT_TRUE(rg.converged);
+  EXPECT_EQ(rg.iterations, 0);
 }
 
 TEST(EngineEdge, MoreThreadsThanRows) {
@@ -175,9 +177,9 @@ TEST(EngineEdge, MoreThreadsThanRows) {
   const auto r = eng.cg(b, x);
   EXPECT_TRUE(r.converged);
 
-  aligned_vector<value_t> x_legacy(b.size(), 0.0);
-  const auto rl = solvers::cg(a, b, x_legacy);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x[i], x_legacy[i], 1e-8);
+  aligned_vector<value_t> x_oracle(b.size(), 0.0);
+  oracle::cg(a, b, x_oracle, opts.max_iterations, opts.tolerance);
+  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x[i], x_oracle[i], 1e-8);
 }
 
 TEST(EngineEdge, ZeroRhsYieldsZeroSolution) {
@@ -197,30 +199,58 @@ TEST(EngineEdge, RejectsShapeMismatch) {
   aligned_vector<value_t> b(5), x(16);
   EXPECT_THROW(eng.cg(b, x), std::invalid_argument);
   EXPECT_THROW(eng.bicgstab(b, x), std::invalid_argument);
+  EXPECT_THROW(eng.gmres(b, x), std::invalid_argument);
 }
 
-TEST(Engine, FusedCgConvergesLikeLegacy) {
+// The adopting constructor sizes nothing itself: the solvers iterate the
+// prepared kernel's region parts but size their work vectors by the
+// engine's matrix, so a kernel prepared from a differently shaped matrix
+// must be refused up front.
+TEST(EngineEdge, AdoptingConstructorRejectsForeignPreparedKernel) {
+  const CsrMatrix a = gen::stencil5(4, 4);    // 16 x 16
+  const CsrMatrix big = gen::stencil5(8, 8);  // 64 x 64
+  const auto prepared_big = std::make_shared<const kernels::PreparedSpmv>(
+      big, kernels::SpmvOptions{.threads = 2});
+  EXPECT_THROW((engine::SolverEngine{a, prepared_big}), std::invalid_argument);
+
+  CooMatrix rect{16, 20};
+  rect.add(0, 0, 1.0);
+  const CsrMatrix wide = CsrMatrix::from_coo(rect);
+  const auto prepared_wide = std::make_shared<const kernels::PreparedSpmv>(
+      wide, kernels::SpmvOptions{.threads = 2});
+  EXPECT_THROW((engine::SolverEngine{a, prepared_wide}), std::invalid_argument);
+  EXPECT_THROW((engine::SolverEngine{a, nullptr}), std::invalid_argument);
+
+  // A kernel prepared from an equal-shaped matrix is adopted as is.
+  const auto prepared_a = std::make_shared<const kernels::PreparedSpmv>(
+      a, kernels::SpmvOptions{.threads = 2});
+  const engine::SolverEngine eng{a, prepared_a};
+  EXPECT_EQ(eng.threads(), 2);
+  EXPECT_EQ(&eng.prepared(), prepared_a.get());
+}
+
+TEST(Engine, FusedCgConvergesLikeOracle) {
   const CsrMatrix a = gen::stencil5(20, 20);
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 609);
-  aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+  aligned_vector<value_t> x_fused(b.size(), 0.0), x_oracle(b.size(), 0.0);
 
   engine::EngineOptions opts;
   opts.threads = 4;
   const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
   const auto rf = eng.cg(b, x_fused);
-  const auto rl = solvers::cg(a, b, x_legacy);
+  const auto rl = oracle::cg(a, b, x_oracle, opts.max_iterations, opts.tolerance);
 
   EXPECT_TRUE(rf.converged);
   EXPECT_TRUE(rl.converged);
   EXPECT_EQ(rf.iterations, rl.iterations);
   EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10);
-  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-10);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_oracle[i], 1e-10);
 }
 
-TEST(Engine, FusedCgWithJacobiMatchesLegacy) {
+TEST(Engine, FusedCgWithJacobiMatchesOracle) {
   const CsrMatrix a = spd_like(gen::banded(300, 18, 6, 610), 611);
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 612);
-  aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+  aligned_vector<value_t> x_fused(b.size(), 0.0), x_oracle(b.size(), 0.0);
 
   engine::EngineOptions opts;
   opts.threads = 4;
@@ -228,33 +258,31 @@ TEST(Engine, FusedCgWithJacobiMatchesLegacy) {
   const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
   const auto rf = eng.cg(b, x_fused);
 
-  solvers::CgOptions legacy_opts;
-  legacy_opts.jacobi = true;
-  const auto rl = solvers::cg(a, b, x_legacy, legacy_opts);
+  const auto rl = oracle::cg(a, b, x_oracle, opts.max_iterations, opts.tolerance, true);
 
   EXPECT_TRUE(rf.converged);
   EXPECT_TRUE(rl.converged);
   EXPECT_EQ(rf.iterations, rl.iterations);
-  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-8);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_oracle[i], 1e-8);
 }
 
-TEST(Engine, FusedBicgstabMatchesLegacy) {
+TEST(Engine, FusedBicgstabMatchesOracle) {
   const CsrMatrix a =
       gen::make_diagonally_dominant(gen::random_uniform(300, 8, 613), 614);
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 615);
-  aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+  aligned_vector<value_t> x_fused(b.size(), 0.0), x_oracle(b.size(), 0.0);
 
   engine::EngineOptions opts;
   opts.threads = 4;
   const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
   const auto rf = eng.bicgstab(b, x_fused);
-  const auto rl = solvers::bicgstab(a, b, x_legacy);
+  const auto rl = oracle::bicgstab(a, b, x_oracle, opts.max_iterations, opts.tolerance);
 
   EXPECT_TRUE(rf.converged);
   EXPECT_TRUE(rl.converged);
   EXPECT_EQ(rf.iterations, rl.iterations);
   EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10);
-  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-8);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_oracle[i], 1e-8);
 }
 
 TEST(Engine, FirstTouchTogglesAgree) {
@@ -278,23 +306,19 @@ TEST(Engine, FirstTouchTogglesAgree) {
   for (std::size_t i = 0; i < b.size(); ++i) ASSERT_DOUBLE_EQ(x1[i], x2[i]);
 }
 
-// The acceptance bar of the engine PR: fused CG agrees with legacy CG on
-// every suite analogue. A small fixed iteration count makes agreement a
+// Fused CG agrees with the textbook oracle on every suite analogue. A small fixed iteration count makes agreement a
 // property of the fused arithmetic itself: a wrong fusion shows up as an
 // O(1) error on iteration one, while legitimate reduction-order rounding
 // needs many iterations of chaotic amplification (on ill-conditioned
 // matrices like rajat30/FullChip analogues) before it can clear 1e-10.
-TEST(EngineAgreement, FusedCgMatchesLegacyOnSuite) {
+TEST(EngineAgreement, FusedCgMatchesOracleOnSuite) {
   std::uint64_t seed = 6500;
   for (const auto& spec : gen::suite_specs()) {
     const CsrMatrix a = spd_like(spec.make(), seed++);
     const auto b = random_vector(static_cast<std::size_t>(a.nrows()), seed++);
-    aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+    aligned_vector<value_t> x_fused(b.size(), 0.0), x_oracle(b.size(), 0.0);
 
-    solvers::CgOptions legacy_opts;
-    legacy_opts.max_iterations = 4;
-    legacy_opts.tolerance = 0.0;
-    const auto rl = solvers::cg(a, b, x_legacy, legacy_opts);
+    const auto rl = oracle::cg(a, b, x_oracle, 4, 0.0);
 
     engine::EngineOptions opts;
     opts.threads = 4;
@@ -308,17 +332,14 @@ TEST(EngineAgreement, FusedCgMatchesLegacyOnSuite) {
   }
 }
 
-TEST(EngineAgreement, FusedBicgstabMatchesLegacyOnSuite) {
+TEST(EngineAgreement, FusedBicgstabMatchesOracleOnSuite) {
   std::uint64_t seed = 6600;
   for (const auto& spec : gen::suite_specs()) {
     const CsrMatrix a = gen::make_diagonally_dominant(spec.make(), seed++);
     const auto b = random_vector(static_cast<std::size_t>(a.nrows()), seed++);
-    aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+    aligned_vector<value_t> x_fused(b.size(), 0.0), x_oracle(b.size(), 0.0);
 
-    solvers::BicgstabOptions legacy_opts;
-    legacy_opts.max_iterations = 3;
-    legacy_opts.tolerance = 0.0;
-    const auto rl = solvers::bicgstab(a, b, x_legacy, legacy_opts);
+    const auto rl = oracle::bicgstab(a, b, x_oracle, 3, 0.0);
 
     engine::EngineOptions opts;
     opts.threads = 4;
