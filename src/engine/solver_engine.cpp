@@ -134,11 +134,11 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
   Timer total;
 
   // Untouched storage: each thread first-touches its owned rows below.
-  NumaArray<value_t> r_buf(n), p_buf(n), ap_buf(n), z_buf(n);
+  // No z vector: z = M^-1 r is recomputed from r where it is read.
+  NumaArray<value_t> r_buf(n), p_buf(n), ap_buf(n);
   const auto r = r_buf.span();
   const auto p = p_buf.span();
   const auto ap = ap_buf.span();
-  const auto z = z_buf.span();
 
   aligned_vector<Slot> slots(static_cast<std::size_t>(threads_));
 
@@ -162,13 +162,14 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
   }
   Timer iter_timer;  // shared; reset/read inside barrier-ordered singles
   const kernels::PreparedSpmv& spmv = *prepared_;
-  // Symmetric storage splits each SpMV into a scatter and a barrier-ordered
-  // reduce over the same partition ownership (kernels/spmv_sym.hpp); CG is
-  // the SPD flagship, so the dispatch lives here and not in bicgstab.
+  // Symmetric storage splits each SpMV into an owner-writes scatter and a
+  // barrier-ordered halo reduce over the same partition ownership
+  // (kernels/spmv_sym.hpp); CG is the SPD flagship, so the dispatch lives
+  // here and not in bicgstab.
   const bool sym = spmv.symmetric_applied();
 
 #pragma omp parallel default(none) num_threads(threads_)                                   \
-    shared(parts, nparts, jacobi, tol, max_it, inv_diag, b, x, r, p, ap, z, slots, st,     \
+    shared(parts, nparts, jacobi, tol, max_it, inv_diag, b, x, r, p, ap, slots, st,        \
            track, iter_timer, spmv_seconds, fused_passes, result, spmv, sym)
   {
     const int nt = omp_get_num_threads();
@@ -187,7 +188,6 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
         r[k] = 0.0;
         p[k] = 0.0;
         ap[k] = 0.0;
-        z[k] = 0.0;
         bb_p += b[k] * b[k];
       }
     });
@@ -201,7 +201,7 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
 
     // r = b - A x; z = M^-1 r; p = z; partial rz, rr.
     if (sym) {
-      for_owned([&](int pi, RowRange) { spmv.run_local_scatter(pi, x); });
+      for_owned([&](int pi, RowRange) { spmv.run_local_scatter(pi, x, ap); });
 #pragma omp barrier
       for_owned([&](int pi, RowRange) { spmv.run_local_reduce(pi, ap); });
     } else {
@@ -212,9 +212,9 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = b[k] - ap[k];
-        z[k] = jacobi ? inv_diag[k] * r[k] : r[k];
-        p[k] = z[k];
-        rz_p += r[k] * z[k];
+        const value_t zk = jacobi ? inv_diag[k] * r[k] : r[k];
+        p[k] = zk;
+        rz_p += r[k] * zk;
         rr_p += r[k] * r[k];
       }
     });
@@ -242,13 +242,14 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
       if (st.stop) break;
 
       // Fused ap = A p with the dependent reduction p·ap. The symmetric
-      // path keeps the fusion: the dot folds into the reduce phase. The
-      // barrier after the slot writes below also orders this reduce's
-      // scratch reads against the next iteration's scatter.
+      // path scatters straight into ap, then completes its owned rows from
+      // the later partitions' halos and takes p·ap over them. The barrier
+      // after the slot writes below also orders this reduce's halo reads
+      // against the next scatter.
       if (tid == 0) pass.reset();
       double pap_p = 0.0;
       if (sym) {
-        for_owned([&](int pi, RowRange) { spmv.run_local_scatter(pi, p); });
+        for_owned([&](int pi, RowRange) { spmv.run_local_scatter(pi, p, ap); });
 #pragma omp barrier
         for_owned([&](int pi, RowRange) { pap_p += spmv.run_local_reduce_dot(pi, ap, p); });
       } else {
@@ -275,15 +276,14 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
       }
       if (st.stop) break;
 
-      // Fused x += alpha p; r -= alpha ap; z = M^-1 r; partial rz', r·r.
+      // Fused r -= alpha ap; z = M^-1 r; partial rz', r·r.
       double rz_n = 0.0, rr_n = 0.0;
       for_owned([&](int, RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          x[k] += st.alpha * p[k];
           r[k] -= st.alpha * ap[k];
-          z[k] = jacobi ? inv_diag[k] * r[k] : r[k];
-          rz_n += r[k] * z[k];
+          const value_t zk = jacobi ? inv_diag[k] * r[k] : r[k];
+          rz_n += r[k] * zk;
           rr_n += r[k] * r[k];
         }
       });
@@ -302,12 +302,15 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
         }
       }
 
-      // p = z + beta p; the barrier publishes p before the next SpMV gathers
-      // it at arbitrary columns.
+      // x += alpha p (still this iteration's alpha and p); p = z + beta p.
+      // The barrier publishes p before the next SpMV gathers it at
+      // arbitrary columns.
       for_owned([&](int, RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          p[k] = z[k] + st.beta * p[k];
+          x[k] += st.alpha * p[k];
+          const value_t zk = jacobi ? inv_diag[k] * r[k] : r[k];
+          p[k] = zk + st.beta * p[k];
         }
       });
 #pragma omp barrier

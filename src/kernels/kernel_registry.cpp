@@ -41,7 +41,7 @@ struct Prepared {
 
   // Symmetric-storage execution state (valid iff sym): the scatter/reduce
   // schedule is keyed to region_parts (thread ownership must match the
-  // solver engine's), and the scratch windows are sized/first-touched at
+  // solver engine's), and the halo windows are sized/first-touched at
   // prepare time so the hot path never allocates.
   SymView sym_view;
   SymSchedule sym_sched;
@@ -141,10 +141,10 @@ void run_dynamic_blocked(const Prepared& p, ConstDenseBlockView x, DenseBlockVie
   }
 }
 
-/// One-shot symmetric-storage driver: the two-phase scatter/reduce of
-/// kernels/spmv_sym.hpp inside one parallel region, one chunk of the
+/// One-shot symmetric-storage driver: the owner-writes scatter/halo reduce
+/// of kernels/spmv_sym.hpp inside one parallel region, one chunk of the
 /// operand width at a time. Chunks are clamped to the schedule's scratch
-/// column capacity, so any runtime width executes against the scratch
+/// column capacity, so any runtime width executes against the halo windows
 /// sized at prepare time.
 void run_sym_blocked(Prepared& p, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
                      value_t beta, int threads) {
@@ -165,14 +165,14 @@ void run_sym_blocked(Prepared& p, ConstDenseBlockView x, DenseBlockView y, value
       index_t w = rem >= 8 ? 8 : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
       if (w > cap) w = cap;
       for (std::size_t pi = tid; pi < nparts; pi += stride) {
-        sym_scatter_any(view, sched, scratch, pi, x.columns(c, w));
+        sym_scatter_any(view, sched, scratch, pi, x.columns(c, w), y.columns(c, w), alpha, beta);
       }
 #pragma omp barrier
       for (std::size_t pi = tid; pi < nparts; pi += stride) {
-        sym_reduce_any(sched, scratch, pi, y.columns(c, w), alpha, beta);
+        sym_reduce_any(sched, scratch, pi, y.columns(c, w));
       }
       c += w;
-      // Order this chunk's reduce reads against the next chunk's scatter,
+      // Order this chunk's halo reads against the next chunk's scatter,
       // which re-zeroes the same scratch columns.
 #pragma omp barrier
     }
@@ -331,7 +331,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
     while (cap < 8 && cap * 2 <= prepared->hint_width) cap *= 2;
     prepared->sym_sched = plan_sym_schedule(prepared->sym_view, prepared->region_parts, cap);
     prepared->sym_scratch = NumaArray<value_t>(prepared->sym_sched.scratch_elems);
-    // First-touch the scratch windows from their owning threads (the same
+    // First-touch the halo windows from their owning threads (the same
     // part -> thread mapping the scatter uses), zeroing all cap columns.
     const SymSchedule& sched = prepared->sym_sched;
     value_t* const scratch = prepared->sym_scratch.data();
@@ -341,7 +341,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
       const auto tid = static_cast<std::size_t>(omp_get_thread_num());
       const auto stride = static_cast<std::size_t>(omp_get_num_threads());
       for (std::size_t pi = tid; pi < nparts; pi += stride) {
-        const auto rows = static_cast<std::size_t>(sched.parts[pi].end - sched.base[pi]);
+        const auto rows = static_cast<std::size_t>(sched.parts[pi].begin - sched.base[pi]);
         std::fill(scratch + sched.offset[pi],
                   scratch + sched.offset[pi] + rows * static_cast<std::size_t>(sched.cap), 0.0);
       }
@@ -478,7 +478,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   if (symmetric_applied_) {
     // Symmetric storage streams the lower triangle + dense diagonal instead
     // of the full nonzero set — the halved matrix stream the format exists
-    // for (scratch traffic is cache-resident and excluded by the model).
+    // for (halo-window traffic is small and excluded by the model).
     matrix_bytes_ = static_cast<double>(prepared_->sym->bytes());
   }
   vector_bytes_per_column_ =
@@ -547,25 +547,25 @@ namespace {
 }
 }  // namespace
 
-void PreparedSpmv::run_local_scatter(int part, std::span<const value_t> x) const {
+void PreparedSpmv::run_local_scatter(int part, std::span<const value_t> x,
+                                     std::span<value_t> y, value_t alpha, value_t beta) const {
   if (!symmetric_applied_) fail_not_symmetric();
   sym_scatter_any(prepared_->sym_view, prepared_->sym_sched, prepared_->sym_scratch.data(),
-                  static_cast<std::size_t>(part), ConstDenseBlockView::from_vector(x));
+                  static_cast<std::size_t>(part), ConstDenseBlockView::from_vector(x),
+                  DenseBlockView::from_vector(y), alpha, beta);
 }
 
-void PreparedSpmv::run_local_reduce(int part, std::span<value_t> y, value_t alpha,
-                                    value_t beta) const {
+void PreparedSpmv::run_local_reduce(int part, std::span<value_t> y) const {
   if (!symmetric_applied_) fail_not_symmetric();
   sym_reduce_any(prepared_->sym_sched, prepared_->sym_scratch.data(),
-                 static_cast<std::size_t>(part), DenseBlockView::from_vector(y), alpha, beta);
+                 static_cast<std::size_t>(part), DenseBlockView::from_vector(y));
 }
 
 double PreparedSpmv::run_local_reduce_dot(int part, std::span<value_t> y,
-                                          std::span<const value_t> w, value_t alpha,
-                                          value_t beta) const {
+                                          std::span<const value_t> w) const {
   if (!symmetric_applied_) fail_not_symmetric();
   return sym_reduce_dot(prepared_->sym_sched, prepared_->sym_scratch.data(),
-                        static_cast<std::size_t>(part), y, w, alpha, beta);
+                        static_cast<std::size_t>(part), y, w);
 }
 
 }  // namespace sparta::kernels

@@ -68,7 +68,7 @@ struct SpmvOptions {
 /// dynamic-schedule configs have no stable row ownership and skip the copy
 /// (`first_touch_applied()` reports false); their region path falls back to
 /// the plain-CSR kernels with the same scalar transformations. Symmetric
-/// kernels stream only the symmetric storage and scratch windows, which
+/// kernels stream only the symmetric storage and halo windows, which
 /// their parallel build and the owning threads already place, so no
 /// general-CSR copy is made: `first_touch_applied()` then reports true for
 /// the arrays the symmetric kernels read, while the general run_local path
@@ -113,24 +113,28 @@ class PreparedSpmv {
 
   // Region-reentrant symmetric-storage surface (valid iff
   // symmetric_applied()). One SpMV splits into two phases keyed to
-  // region_parts(): every partition scatters into its private scratch
-  // window, then — after a caller-supplied barrier — every partition
-  // reduces its owned rows (kernels/spmv_sym.hpp documents the
-  // conflict-freedom argument). The caller must also place a barrier
-  // between a reduce and the *next* scatter, which re-zeroes the windows.
-  // All three throw std::logic_error when symmetric storage is not applied.
+  // region_parts(): every partition scatters, writing its owned rows of y
+  // directly and the mirrors it owes earlier partitions into its private
+  // halo window; then — after a caller-supplied barrier — every partition
+  // adds the halos of later partitions into its owned rows
+  // (kernels/spmv_sym.hpp documents the conflict-freedom argument). y is
+  // complete only after the reduce. The caller must also place a barrier
+  // between a reduce and the *next* scatter, which re-zeroes the halos. All
+  // three throw std::logic_error when symmetric storage is not applied.
 
-  /// Phase 1 of a symmetric y = A x: scatter partition `part`'s products.
-  void run_local_scatter(int part, std::span<const value_t> x) const;
+  /// Phase 1 of a symmetric y = alpha A x + beta y: partition `part`'s rows
+  /// of y, short of the halo contributions of later partitions.
+  void run_local_scatter(int part, std::span<const value_t> x, std::span<value_t> y,
+                         value_t alpha = 1.0, value_t beta = 0.0) const;
 
-  /// Phase 2: reduce partition `part`'s rows of y = alpha A x + beta y.
-  void run_local_reduce(int part, std::span<value_t> y, value_t alpha = 1.0,
-                        value_t beta = 0.0) const;
+  /// Phase 2: add later partitions' halos into partition `part`'s rows of y
+  /// (alpha and beta were applied by the scatter).
+  void run_local_reduce(int part, std::span<value_t> y) const;
 
-  /// Phase 2 fused with the dependent reduction (see run_local_dot).
+  /// Phase 2 followed by the dependent reduction: returns the sum over
+  /// partition `part`'s rows of w[i] * y[i] (the completed y).
   [[nodiscard]] double run_local_reduce_dot(int part, std::span<value_t> y,
-                                            std::span<const value_t> w, value_t alpha = 1.0,
-                                            value_t beta = 0.0) const;
+                                            std::span<const value_t> w) const;
 
   /// Wall-clock seconds the preprocessing took.
   [[nodiscard]] double prep_seconds() const { return prep_seconds_; }

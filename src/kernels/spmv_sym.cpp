@@ -7,38 +7,38 @@
 namespace sparta::kernels {
 
 void sym_scatter_any(const SymView& a, const SymSchedule& sched,
-                     value_t* SPARTA_RESTRICT scratch, std::size_t part,
-                     ConstDenseBlockView x) {
+                     value_t* SPARTA_RESTRICT scratch, std::size_t part, ConstDenseBlockView x,
+                     DenseBlockView y, value_t alpha, value_t beta) {
   switch (x.width) {
     case 8:
-      sym_scatter_block<8>(a, sched, scratch, part, x);
+      sym_scatter_block<8>(a, sched, scratch, part, x, y, alpha, beta);
       break;
     case 4:
-      sym_scatter_block<4>(a, sched, scratch, part, x);
+      sym_scatter_block<4>(a, sched, scratch, part, x, y, alpha, beta);
       break;
     case 2:
-      sym_scatter_block<2>(a, sched, scratch, part, x);
+      sym_scatter_block<2>(a, sched, scratch, part, x, y, alpha, beta);
       break;
     default:
-      sym_scatter_block<1>(a, sched, scratch, part, x);
+      sym_scatter_block<1>(a, sched, scratch, part, x, y, alpha, beta);
       break;
   }
 }
 
 void sym_reduce_any(const SymSchedule& sched, const value_t* SPARTA_RESTRICT scratch,
-                    std::size_t part, DenseBlockView y, value_t alpha, value_t beta) {
+                    std::size_t part, DenseBlockView y) {
   switch (y.width) {
     case 8:
-      sym_reduce_block<8>(sched, scratch, part, y, alpha, beta);
+      sym_reduce_block<8>(sched, scratch, part, y);
       break;
     case 4:
-      sym_reduce_block<4>(sched, scratch, part, y, alpha, beta);
+      sym_reduce_block<4>(sched, scratch, part, y);
       break;
     case 2:
-      sym_reduce_block<2>(sched, scratch, part, y, alpha, beta);
+      sym_reduce_block<2>(sched, scratch, part, y);
       break;
     default:
-      sym_reduce_block<1>(sched, scratch, part, y, alpha, beta);
+      sym_reduce_block<1>(sched, scratch, part, y);
       break;
   }
 }
@@ -65,31 +65,20 @@ SymSchedule plan_sym_schedule(const SymView& a, std::span<const RowRange> parts,
     }
     sched.base[p] = base;
     sched.offset[p] = total;
-    total += static_cast<std::size_t>(parts[p].end - base) * static_cast<std::size_t>(cap);
+    total += static_cast<std::size_t>(parts[p].begin - base) * static_cast<std::size_t>(cap);
   }
   sched.scratch_elems = total;
   return sched;
 }
 
 double sym_reduce_dot(const SymSchedule& sched, const value_t* SPARTA_RESTRICT scratch,
-                      std::size_t part, std::span<value_t> y, std::span<const value_t> w,
-                      value_t alpha, value_t beta) {
+                      std::size_t part, std::span<value_t> y, std::span<const value_t> w) {
+  sym_reduce_block<1>(sched, scratch, part, DenseBlockView::from_vector(y));
   const RowRange r = sched.parts[part];
-  const auto nparts = sched.parts.size();
-  const auto cap = static_cast<std::size_t>(sched.cap);
-  const bool plain = alpha == 1.0 && beta == 0.0;
   double acc = 0.0;
   for (index_t i = r.begin; i < r.end; ++i) {
-    value_t tot = 0.0;
-    for (std::size_t q = part; q < nparts; ++q) {
-      const index_t bq = sched.base[q];
-      if (bq > i) continue;
-      tot += scratch[sched.offset[q] + static_cast<std::size_t>(i - bq) * cap];
-    }
     const auto k = static_cast<std::size_t>(i);
-    const value_t yi = plain ? tot : alpha * tot + beta * y[k];
-    y[k] = yi;
-    acc += w[k] * yi;
+    acc += w[k] * y[k];
   }
   return acc;
 }

@@ -14,8 +14,11 @@
 
 namespace sparta {
 
-/// LRU set-associative cache of cache-line granularity.
-class SetAssocCache {
+/// LRU set-associative cache of cache-line granularity. Every access
+/// updates the clock, the hit/miss counters and the last-touched tag, so
+/// each object starts its own host cache line: caches that worker threads
+/// replay side by side (sim::simulate_spmv_batch) never falsely share one.
+class alignas(kCacheLineBytes) SetAssocCache {
  public:
   /// Capacity is rounded down to a power-of-two number of sets. Associativity
   /// defaults to 8-way, which is representative of the modeled platforms.

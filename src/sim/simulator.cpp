@@ -238,8 +238,9 @@ std::vector<SimResult> simulate_spmv_batch(const CsrMatrix& m, const MachineSpec
   // x caches per worker, built here on the calling thread and cleared per
   // item (clear() restores a fresh cache's lines and clock), so the workers
   // allocate nothing large and repeated batches do not grow the process's
-  // heaps. A static item needs one cache; a dynamic item one per modeled
-  // thread.
+  // heaps. Each cache object is line-aligned (see SetAssocCache), so the
+  // workers' per-access fields never share a line. A static item needs one
+  // cache; a dynamic item one per modeled thread.
   const auto n = static_cast<int>(items.size());
   const int team = omp_in_parallel() ? 1 : std::clamp(omp_get_max_threads(), 1, n);
   const int per_worker = any_dynamic ? T : 1;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/prng.hpp"
 #include "engine/solver_engine.hpp"
@@ -312,23 +313,34 @@ TEST(Engine, FirstTouchTogglesAgree) {
 // needs many iterations of chaotic amplification (on ill-conditioned
 // matrices like rajat30/FullChip analogues) before it can clear 1e-10.
 TEST(EngineAgreement, FusedCgMatchesOracleOnSuite) {
+  // Each system runs plain and Jacobi CG on the general kernel and on
+  // symmetric storage (spd_like makes A exactly symmetric, so the owner-
+  // writes scatter/halo reduce path is the one exercised).
+  sim::KernelConfig sym_cfg;
+  sym_cfg.symmetric = true;
   std::uint64_t seed = 6500;
   for (const auto& spec : gen::suite_specs()) {
     const CsrMatrix a = spd_like(spec.make(), seed++);
     const auto b = random_vector(static_cast<std::size_t>(a.nrows()), seed++);
-    aligned_vector<value_t> x_fused(b.size(), 0.0), x_oracle(b.size(), 0.0);
-
-    const auto rl = oracle::cg(a, b, x_oracle, 4, 0.0);
-
-    engine::EngineOptions opts;
-    opts.threads = 4;
-    opts.max_iterations = 4;
-    opts.tolerance = 0.0;
-    const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
-    const auto rf = eng.cg(b, x_fused);
-
-    EXPECT_EQ(rf.iterations, rl.iterations) << spec.name;
-    EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10) << spec.name;
+    for (const bool jacobi : {false, true}) {
+      aligned_vector<value_t> x_oracle(b.size(), 0.0);
+      const auto rl = oracle::cg(a, b, x_oracle, 4, 0.0, jacobi);
+      for (const auto& cfg : {sim::KernelConfig{}, sym_cfg}) {
+        engine::EngineOptions opts;
+        opts.threads = 4;
+        opts.max_iterations = 4;
+        opts.tolerance = 0.0;
+        opts.jacobi = jacobi;
+        const engine::SolverEngine eng{a, cfg, opts};
+        ASSERT_EQ(eng.prepared().symmetric_applied(), cfg.symmetric) << spec.name;
+        aligned_vector<value_t> x_fused(b.size(), 0.0);
+        const auto rf = eng.cg(b, x_fused);
+        const std::string what = spec.name + (cfg.symmetric ? " sym" : " general") +
+                                 (jacobi ? " jacobi" : "");
+        EXPECT_EQ(rf.iterations, rl.iterations) << what;
+        EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10) << what;
+      }
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Symmetric storage (SymCsr) end to end: the two-pass parallel builder is
 // bit-identical to its serial twin for every thread count and round-trips
-// through expand(); the scatter/reduce kernels agree with the general
-// reference within the documented reassociation tolerance at every operand
-// width; the validator names each corruption; the registry applies (and
+// through expand(); the owner-writes scatter/halo-reduce kernels agree with
+// the general reference within the documented reassociation tolerance at
+// every thread count, operand width and alpha/beta, and allocate scratch for
+// the halo only; the validator names each corruption; the registry applies (and
 // falls back from) symmetric storage; and the solver engine's CG runs on it
 // inside the persistent region.
 //
@@ -18,7 +19,9 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "check/validate.hpp"
@@ -213,32 +216,83 @@ kernels::PreparedSpmv prepare_sym(const CsrMatrix& m, int k, int threads) {
       m, kernels::SpmvOptions{.config = cfg, .threads = threads, .block_width = k}};
 }
 
-class SymKernelWidths : public ::testing::TestWithParam<int> {};
+// Thread count x operand width. Each case runs a 900-row matrix and a
+// 6-row one (more partitions than rows at 8 threads, so some partitions are
+// empty), at alpha = 1, beta = 0 (the direct store) and at a non-trivial
+// alpha/beta: alpha is applied per mirrored product and beta in the scatter,
+// so both must reach every row, owned or halo.
+class SymKernelGrid : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(SymKernelWidths, MatchesGeneralReferencePerColumn) {
-  const int k = GetParam();
-  const CsrMatrix m = random_symmetric(900, 5, 95);
-  const auto sym = prepare_sym(m, k, 4);
-  ASSERT_TRUE(sym.symmetric_applied());
-  const auto rows = static_cast<std::size_t>(m.nrows());
-  const auto kk = static_cast<std::size_t>(k);
-
-  const auto xs = random_vector(rows * kk, 96 + static_cast<std::uint64_t>(k));
-  aligned_vector<value_t> ys(rows * kk, -5.0);
-  sym.run(kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
-          kernels::DenseBlockView{ys.data(), m.nrows(), k, k});
-  for (std::size_t c = 0; c < kk; ++c) {
-    aligned_vector<value_t> xc(rows), want(rows);
-    for (std::size_t r = 0; r < rows; ++r) xc[r] = xs[r * kk + c];
-    spmv_reference(m, xc, want);
-    for (std::size_t r = 0; r < rows; ++r) {
-      ASSERT_NEAR(ys[r * kk + c], want[r], 1e-10) << "row " << r << " column " << c;
+TEST_P(SymKernelGrid, MatchesGeneralReferencePerColumn) {
+  const auto [threads, k] = GetParam();
+  const CsrMatrix matrices[] = {random_symmetric(900, 5, 95), random_symmetric(6, 3, 195)};
+  struct Scalars {
+    value_t alpha, beta;
+  };
+  for (const CsrMatrix& m : matrices) {
+    const auto sym = prepare_sym(m, k, threads);
+    ASSERT_TRUE(sym.symmetric_applied());
+    const auto rows = static_cast<std::size_t>(m.nrows());
+    const auto kk = static_cast<std::size_t>(k);
+    const auto xs = random_vector(rows * kk, 96 + static_cast<std::uint64_t>(k));
+    const auto y0 = random_vector(rows * kk, 196 + static_cast<std::uint64_t>(k));
+    for (const Scalars sc : {Scalars{1.0, 0.0}, Scalars{1.5, -0.75}}) {
+      aligned_vector<value_t> ys = y0;
+      sym.run(kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
+              kernels::DenseBlockView{ys.data(), m.nrows(), k, k}, sc.alpha, sc.beta);
+      for (std::size_t c = 0; c < kk; ++c) {
+        aligned_vector<value_t> xc(rows), ax(rows);
+        for (std::size_t r = 0; r < rows; ++r) xc[r] = xs[r * kk + c];
+        spmv_reference(m, xc, ax);
+        for (std::size_t r = 0; r < rows; ++r) {
+          const value_t want = sc.alpha * ax[r] + sc.beta * y0[r * kk + c];
+          ASSERT_NEAR(ys[r * kk + c], want, 1e-10)
+              << m.nrows() << " rows, alpha " << sc.alpha << ", row " << r << " column " << c;
+        }
+      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, SymKernelWidths, ::testing::Values(1, 2, 4, 8),
-                         [](const auto& info) { return "k" + std::to_string(info.param); });
+INSTANTIATE_TEST_SUITE_P(ThreadsWidths, SymKernelGrid,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 8),
+                                            ::testing::Values(1, 2, 4, 8)),
+                         [](const auto& info) {
+                           return "t" + std::to_string(std::get<0>(info.param)) + "_k" +
+                                  std::to_string(std::get<1>(info.param));
+                         });
+
+// Only the halo — rows below each partition that its mirrors reach — gets
+// scratch: partition p's window is [base[p], parts[p].begin) with base[p]
+// the smallest column p's rows reference, derived here from the general
+// CSR (whose first column per row is that row's smallest).
+TEST(SymKernels, ScratchCoversOnlyTheHalo) {
+  const CsrMatrix m = gen::stencil27(12, 12, 12);
+  const SymCsrMatrix sym = SymCsrMatrix::build(m);
+  const auto view = kernels::make_view(sym);
+  for (const int threads : {1, 2, 4, 8}) {
+    const auto parts = partition_balanced_nnz(m, threads);
+    for (const index_t cap : {1, 4}) {
+      const auto sched = kernels::plan_sym_schedule(view, parts, cap);
+      std::size_t want = 0;
+      for (std::size_t p = 0; p < parts.size(); ++p) {
+        index_t base = parts[p].begin;
+        for (index_t i = parts[p].begin; i < parts[p].end; ++i) {
+          base = std::min(base, m.row_cols(i).front());
+        }
+        EXPECT_EQ(sched.base[p], base) << "threads " << threads << " part " << p;
+        want += static_cast<std::size_t>(parts[p].begin - base) * static_cast<std::size_t>(cap);
+      }
+      EXPECT_EQ(sched.scratch_elems, want) << "threads " << threads << " cap " << cap;
+    }
+    // A stencil row reaches at most one plane plus a row and a point below
+    // itself: at most 12*12 + 12 + 1 = 157 halo rows per later partition,
+    // against n = 1728 rows for a window over every owned row.
+    const auto sched = kernels::plan_sym_schedule(view, parts, 1);
+    EXPECT_LE(sched.scratch_elems, static_cast<std::size_t>(157 * (threads - 1)))
+        << "threads " << threads;
+  }
+}
 
 TEST(SymKernels, DeterministicForAFixedThreadCount) {
   const CsrMatrix m = random_symmetric(1200, 6, 97);
@@ -322,7 +376,7 @@ TEST(SymPrepared, FallsBackOnAsymmetricMatrix) {
   expect_near(y, want, 1e-10);
 
   aligned_vector<value_t> w(n);
-  EXPECT_THROW(prepared.run_local_scatter(0, x), std::logic_error);
+  EXPECT_THROW(prepared.run_local_scatter(0, x, y), std::logic_error);
   EXPECT_THROW(prepared.run_local_reduce(0, y), std::logic_error);
   EXPECT_THROW((void)prepared.run_local_reduce_dot(0, y, w), std::logic_error);
 }
@@ -348,11 +402,11 @@ TEST(SymPrepared, RegionScatterReduceMatchesOneShot) {
   {
     const int nt = omp_get_num_threads();
     for (int pi = omp_get_thread_num(); pi < nparts; pi += nt) {
-      prepared.run_local_scatter(pi, xs);
+      prepared.run_local_scatter(pi, xs, ys, 1.5, 0.25);
     }
 #pragma omp barrier
     for (int pi = omp_get_thread_num(); pi < nparts; pi += nt) {
-      prepared.run_local_reduce(pi, ys, 1.5, 0.25);
+      prepared.run_local_reduce(pi, ys);
     }
   }
   // Same schedule, same traversal order: the region path is the one-shot
@@ -376,11 +430,11 @@ TEST(SymPrepared, ReduceDotMatchesSeparateReduceAndDot) {
   const auto nparts = static_cast<int>(prepared.region_parts().size());
 
   double dot_fused = 0.0;
-  for (int pi = 0; pi < nparts; ++pi) prepared.run_local_scatter(pi, x);
+  for (int pi = 0; pi < nparts; ++pi) prepared.run_local_scatter(pi, x, y_a);
   for (int pi = 0; pi < nparts; ++pi) {
     dot_fused += prepared.run_local_reduce_dot(pi, y_a, w);
   }
-  for (int pi = 0; pi < nparts; ++pi) prepared.run_local_scatter(pi, x);
+  for (int pi = 0; pi < nparts; ++pi) prepared.run_local_scatter(pi, x, y_b);
   for (int pi = 0; pi < nparts; ++pi) prepared.run_local_reduce(pi, y_b);
   double dot_separate = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
