@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/statistics.hpp"
+#include "common/timer.hpp"
 #include "gen/suite.hpp"
 #include "tuner/feature_classifier.hpp"
 #include "tuner/optimizer.hpp"
@@ -43,5 +45,31 @@ double mean_speedup(const std::vector<double>& numer, const std::vector<double>&
 
 /// Print a standard bench header (title, paper item, effective threads).
 void print_header(const std::string& title, const std::string& paper_item);
+
+/// Median wall seconds of the two sides of a ratio gate.
+struct PairedMedians {
+  double a = 0.0;
+  double b = 0.0;
+};
+
+/// Time `a` and `b` alternately, call by call (a, b, a, b, ...), `reps`
+/// calls each, and return the median of each side. Both sides then see the
+/// same stretch of machine noise, so the ratio of the medians is what a gate
+/// compares (two best-of windows taken at different times let one noisy
+/// window fail it). Each callable returns a value folded into `sink` to keep
+/// its work observable.
+template <class FnA, class FnB>
+PairedMedians time_interleaved(int reps, double& sink, FnA&& a, FnB&& b) {
+  std::vector<double> ta, tb;
+  for (int r = 0; r < reps; ++r) {
+    const Timer t_a;
+    sink += a();
+    ta.push_back(t_a.seconds());
+    const Timer t_b;
+    sink += b();
+    tb.push_back(t_b.seconds());
+  }
+  return {stats::median(ta), stats::median(tb)};
+}
 
 }  // namespace sparta::bench

@@ -3,8 +3,9 @@
 //
 // For every matrix and k in {1, 2, 4, 8} we prepare the kernel with
 // block_width = k, time one k-wide run(X, Y) and k width-1 runs over the
-// same data, and report GFLOP/s (2 * nnz * k flops) plus the measured
-// speedup of the blocked path. The matrix stream is read once per k
+// same data, alternating the two call by call, and report GFLOP/s
+// (2 * nnz * k flops, from each side's median) plus the measured speedup of
+// the blocked path (the ratio of the medians). The matrix stream is read once per k
 // columns, so bandwidth-bound matrices approach the modeled bound
 // k / (f + k (1 - f)); a machine-readable summary goes to BENCH_spmm.json.
 //
@@ -12,14 +13,12 @@
 // regression bound CI cares about: the k = 4 blocked path must reach at
 // least 1.5x the GFLOP/s of 4 sequential SpMVs. `--out FILE` overrides the
 // JSON path.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "kernels/kernel_registry.hpp"
@@ -30,18 +29,6 @@
 namespace {
 
 using namespace sparta;
-
-// Best-of-`reps` wall time of `fn` (seconds). `sink` keeps the work observable.
-template <typename Fn>
-double time_best(int reps, double& sink, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const Timer t;
-    sink += fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 struct KResult {
   int k = 1;
@@ -118,23 +105,25 @@ int main(int argc, char** argv) {
       const kernels::ConstDenseBlockView xb{xs.data(), m.ncols(), k, k};
       const kernels::DenseBlockView yb{ys.data(), m.nrows(), k, k};
 
-      spmv.run(xb, yb);  // warm-up (and first-touch of ys)
-      const double t_spmm = time_best(reps, sink, [&] {
-        spmv.run(xb, yb);
-        return ys[0];
-      });
       // The fair sequential baseline: k width-1 passes over contiguous
       // per-column vectors (what a caller without the block path would run).
       aligned_vector<value_t> xc(cols);
       aligned_vector<value_t> yc(rows);
       for (std::size_t i = 0; i < cols; ++i) xc[i] = xs[i * kk];
+      spmv.run(xb, yb);  // warm-up (and first-touch of ys)
       spmv.run(std::span<const value_t>{xc}, std::span<value_t>{yc});  // warm-up
-      const double t_seq = time_best(reps, sink, [&] {
-        for (int c = 0; c < k; ++c) {
-          spmv.run(std::span<const value_t>{xc}, std::span<value_t>{yc});
-        }
-        return yc[0];
-      });
+      const auto [t_spmm, t_seq] = bench::time_interleaved(
+          reps, sink,
+          [&] {
+            spmv.run(xb, yb);
+            return ys[0];
+          },
+          [&] {
+            for (int c = 0; c < k; ++c) {
+              spmv.run(std::span<const value_t>{xc}, std::span<value_t>{yc});
+            }
+            return yc[0];
+          });
 
       const double flops = 2.0 * static_cast<double>(m.nnz()) * static_cast<double>(k);
       KResult r;

@@ -5,7 +5,8 @@
 // For every matrix we prepare the general kernel and the symmetric kernel
 // (config.symmetric through the registry, so this measures exactly what the
 // tuner dispatches), verify the symmetric storage was applied, and time
-// width-1 runs of both. Reported per matrix: the matrix-stream byte ratio
+// width-1 runs of both, alternating call by call; GFLOP/s and the speedup
+// come from the median of each side. Reported per matrix: the matrix-stream byte ratio
 // (symmetric / general, dense operands excluded — the traffic the format
 // halves) and the SpMV GFLOP/s of both paths. A machine-readable summary
 // goes to BENCH_sym.json.
@@ -17,14 +18,12 @@
 // every smoke matrix. `--out FILE` overrides the JSON path.
 #include <unistd.h>
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "kernels/kernel_registry.hpp"
@@ -34,17 +33,6 @@
 namespace {
 
 using namespace sparta;
-
-template <typename Fn>
-double time_best(int reps, double& sink, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const Timer t;
-    sink += fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 /// L3 capacity the OS reports for this host, or 0 when it reports none.
 std::size_t l3_bytes() {
@@ -141,15 +129,17 @@ int main(int argc, char** argv) {
     r.modeled_ratio = sim::sym_matrix_stream_ratio(m);
 
     general.run(std::span<const value_t>{x}, std::span<value_t>{y});  // warm-up
-    const double t_general = time_best(reps, sink, [&] {
-      general.run(std::span<const value_t>{x}, std::span<value_t>{y});
-      return y[0];
-    });
-    sym.run(std::span<const value_t>{x}, std::span<value_t>{y});  // warm-up
-    const double t_sym = time_best(reps, sink, [&] {
-      sym.run(std::span<const value_t>{x}, std::span<value_t>{y});
-      return y[0];
-    });
+    sym.run(std::span<const value_t>{x}, std::span<value_t>{y});      // warm-up
+    const auto [t_general, t_sym] = bench::time_interleaved(
+        reps, sink,
+        [&] {
+          general.run(std::span<const value_t>{x}, std::span<value_t>{y});
+          return y[0];
+        },
+        [&] {
+          sym.run(std::span<const value_t>{x}, std::span<value_t>{y});
+          return y[0];
+        });
 
     const double flops = 2.0 * static_cast<double>(m.nnz());
     r.gflops_general = flops / t_general * 1e-9;

@@ -22,10 +22,9 @@ namespace detail_registry {
 struct Prepared {
   const CsrMatrix* source = nullptr;
   std::optional<DeltaCsrMatrix> delta;
-  std::optional<DecomposedCsrMatrix> decomposed;
   std::optional<SymCsrMatrix> sym;
   std::vector<RowRange> parts;         // one-shot partitions (config-dependent)
-  std::vector<RowRange> region_parts;  // balanced-nnz thread ownership, always built
+  std::vector<RowRange> region_parts;  // thread ownership, always built
 
   // Views the kernels read through — the source arrays, or the first-touch
   // copies below when NUMA placement was requested.
@@ -131,16 +130,6 @@ void run_parts_blocked(const Prepared& p, ConstDenseBlockView x, DenseBlockView 
   }
 }
 
-/// One-shot dynamic (auto-like) self-scheduling driver over rows.
-void run_dynamic_blocked(const Prepared& p, ConstDenseBlockView x, DenseBlockView y,
-                         value_t alpha, value_t beta) {
-  const index_t n = p.view.nrows;
-#pragma omp parallel for default(none) shared(p, x, y, alpha, beta, n) schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    run_rows_blocked(p, RowRange{i, i + 1}, x, y, alpha, beta);
-  }
-}
-
 /// One-shot symmetric-storage driver: the owner-writes scatter/halo reduce
 /// of kernels/spmv_sym.hpp inside one parallel region, one chunk of the
 /// operand width at a time. Chunks are clamped to the schedule's scratch
@@ -214,14 +203,6 @@ void delta_block_rows(const Prepared& p, RowRange r, ConstDenseBlockView x, Dens
 }
 
 template <bool V, bool U, bool P>
-struct DecompRunner {
-  static void run(const Prepared& p, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-                  value_t beta) {
-    spmm_decomposed<V, U, P>(*p.decomposed, x, y, alpha, beta, p.parts);
-  }
-};
-
-template <bool V, bool U, bool P>
 struct LocalCsrDot {
   static double run(const Prepared& p, RowRange r, std::span<const value_t> x,
                     std::span<value_t> y, std::span<const value_t> w, value_t alpha,
@@ -292,7 +273,16 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   auto prepared = std::make_shared<Prepared>();
   prepared->source = &a;
   prepared->view = make_view(a);
-  prepared->region_parts = partition_balanced_nnz(a, threads);
+  // The host IMB arm (long-row decomposition or dynamic scheduling in the
+  // paper's pool) is merge-path row ownership: a thread's cost follows its
+  // rows plus its nonzeros, so both are balanced, and rows stay whole. Every
+  // other config keeps the paper's nnz-balanced baseline.
+  const bool imb = cfg.decomposed || cfg.schedule == Schedule::kDynamicChunks;
+  prepared->region_parts =
+      imb ? partition_merge_path(a, threads) : partition_balanced_nnz(a, threads);
+  prepared->parts = !imb && cfg.schedule == Schedule::kStaticRows
+                        ? partition_equal_rows(a.nrows(), threads)
+                        : prepared->region_parts;
   prepared->hint_width = static_cast<index_t>(block_width_);
   prepared->hint_chunks = plan_chunks(prepared->hint_width);
 
@@ -308,13 +298,12 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
     }
   }
 
-  // Symmetric storage is exclusive with the other format rewrites (the
-  // tuner never combines them) and needs the stable thread ownership of a
-  // static schedule for its scatter/reduce windows. A matrix that turns out
-  // not to be exactly symmetric falls back to the general kernels, like an
+  // Symmetric storage is exclusive with the other format rewrites and the
+  // IMB arm (the tuner never combines them); its scatter/reduce windows are
+  // keyed to the nnz-balanced ownership. A matrix that turns out not to be
+  // exactly symmetric falls back to the general kernels, like an
   // incompressible delta config.
-  const bool want_sym = cfg.symmetric && !use_delta && !cfg.decomposed &&
-                        cfg.schedule != Schedule::kDynamicChunks;
+  const bool want_sym = cfg.symmetric && !use_delta && !imb;
   if (want_sym) {
     try {
       prepared->sym = SymCsrMatrix::build(a, threads);
@@ -348,30 +337,12 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
     }
   }
 
-  const CsrMatrix* part_source = &a;
-  if (cfg.decomposed) {
-    prepared->decomposed = DecomposedCsrMatrix::decompose(a, /*threshold=*/0, threads);
-    part_source = &prepared->decomposed->short_part();
-  }
-
-  // Delta and decomposed kernels always run over explicit partitions on the
-  // host (there is no dynamic-schedule variant of them); plain CSR with the
-  // dynamic schedule is the only partition-less path.
-  const bool needs_parts =
-      use_delta || cfg.decomposed || cfg.schedule != Schedule::kDynamicChunks;
-  if (needs_parts) {
-    prepared->parts = cfg.schedule == Schedule::kStaticRows
-                          ? partition_equal_rows(part_source->nrows(), threads)
-                          : partition_balanced_nnz(*part_source, threads);
-  }
-
   // NUMA first-touch copies of the streaming arrays, initialized by the
-  // owning threads. Decomposed and dynamic-schedule configs have no stable
-  // per-thread row ownership and keep the source arrays. Symmetric storage
-  // is already placed by its parallel build and the scratch fill above, and
-  // its kernels never read the general arrays, so those are not copied:
-  // run_local reads the source arrays, with identical results.
-  if (first_touch && !cfg.decomposed && cfg.schedule != Schedule::kDynamicChunks) {
+  // threads that own region_parts. Symmetric storage is already placed by
+  // its parallel build and the scratch fill above, and its kernels never
+  // read the general arrays, so those are not copied: run_local reads the
+  // source arrays, with identical results.
+  if (first_touch) {
     const auto parts = std::span<const RowRange>{prepared->region_parts};
     if (use_delta) {
       const DeltaCsrMatrix& d = *prepared->delta;
@@ -416,49 +387,34 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   }
 
   // The k-specialized impl table: delta when applied, otherwise the
-  // plain-CSR row kernels with the config's scalar transformations
-  // (decomposed and dynamic configs fall back to these on the
-  // region-reentrant path — row results are identical).
+  // plain-CSR row kernels with the config's scalar transformations. IMB
+  // configs differ only in their partition, so they run these too.
   if (use_delta) {
     prepared->block_rows = delta_block_table(cfg.vectorized);
     prepared->local_dot = cfg.vectorized ? &local_delta_dot<true> : &local_delta_dot<false>;
   } else {
-    const bool vec = cfg.vectorized && !cfg.decomposed;
-    prepared->block_rows = csr_block_table(vec, cfg.unrolled, cfg.prefetch);
-    prepared->local_dot = pick<LocalCsrDot>(vec, cfg.unrolled, cfg.prefetch);
+    prepared->block_rows = csr_block_table(cfg.vectorized, cfg.unrolled, cfg.prefetch);
+    prepared->local_dot = pick<LocalCsrDot>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
   }
 
-  // One-shot dispatch. Delta excludes decomposition/dynamic in the host
-  // registry (the tuner never combines MB with IMB formats; see
-  // tuner/optimizations.cpp). Partitioned configs — plain or delta — share
-  // the blocked partition driver; the impl table already carries the format.
+  // One-shot dispatch: symmetric storage runs its scatter/reduce; every
+  // other config — plain, delta or IMB — shares the blocked partition
+  // driver, and the impl table already carries the format.
   if (symmetric_applied_) {
     const int nthreads = threads;
     impl_ = [prepared, nthreads](ConstDenseBlockView x, DenseBlockView y, value_t alpha,
                                  value_t beta) {
       run_sym_blocked(*prepared, x, y, alpha, beta, nthreads);
     };
-  } else if (cfg.decomposed && !use_delta) {
-    auto runner = pick<DecompRunner>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
-    impl_ = [prepared, runner](ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-                               value_t beta) { runner(*prepared, x, y, alpha, beta); };
-  } else if (!use_delta && cfg.schedule == Schedule::kDynamicChunks) {
-    impl_ = [prepared](ConstDenseBlockView x, DenseBlockView y, value_t alpha, value_t beta) {
-      run_dynamic_blocked(*prepared, x, y, alpha, beta);
-    };
   } else {
     impl_ = [prepared](ConstDenseBlockView x, DenseBlockView y, value_t alpha, value_t beta) {
       run_parts_blocked(*prepared, x, y, alpha, beta);
     };
   }
-  // Post-preparation structural contracts: the thread-ownership partition
-  // must cover the matrix exactly (a gap loses rows silently inside the
-  // persistent region), and the one-shot partition must cover whatever
-  // matrix its kernels iterate (the short part under decomposition).
+  // Post-preparation structural contracts: both partitions must cover the
+  // matrix exactly (a gap loses rows silently inside the persistent region).
   SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{prepared->region_parts}, a.nrows());
-  if (!prepared->parts.empty()) {
-    SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{prepared->parts}, part_source->nrows());
-  }
+  SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{prepared->parts}, a.nrows());
   prepared_ = std::move(prepared);
   prep_seconds_ = timer.seconds();
 

@@ -1,9 +1,10 @@
 // Host kernel registry: turns a KernelConfig (any joint application of
 // optimizations the tuner can select) into a ready-to-run SpMV/SpMM
 // callable, performing whatever preprocessing the configuration needs
-// (delta compression, long-row decomposition, partitioning) and recording
-// its cost — the t_pre that the amortization analysis (paper Table V)
-// charges.
+// (delta compression, symmetric storage, partitioning) and recording its
+// cost — the t_pre that the amortization analysis (paper Table V) charges.
+// The paper's IMB arms (long-row decomposition, dynamic scheduling) run on
+// the host as merge-path row ownership: a partition, not a format.
 #pragma once
 
 #include <functional>
@@ -57,22 +58,26 @@ struct SpmvOptions {
 ///  - the region-reentrant `run_local()` / `run_local_dot()` compute one
 ///    owned RowRange with no pragmas, so a persistent parallel region (the
 ///    solver engine, src/engine/) can drive whole solver (or block)
-///    iterations without fork/join. Ownership is the balanced-nnz partition
-///    returned by `region_parts()` — one range per requested thread, always
-///    built.
+///    iterations without fork/join. Ownership is the partition returned by
+///    `region_parts()` — one range per requested thread, always built.
+///
+/// Partitions. Every config owns whole rows. IMB configs (`decomposed`, or
+/// the dynamic schedule) balance rows + nonzeros per thread
+/// (`partition_merge_path`) and use that one partition for both surfaces;
+/// they run the plain-CSR (or delta) row kernels with the config's scalar
+/// transformations, so their output is bitwise identical at every thread
+/// count. Every other config owns the paper's nnz-balanced partition; the
+/// rows schedule runs its one-shot path over equal row counts instead.
 ///
 /// With `first_touch` set, the CSR (or delta) streams are copied into
 /// untouched storage and initialized range-by-range from the threads that
 /// own those ranges, so on first-touch NUMA systems every thread reads its
-/// share of rowptr/colind/values from local memory. Decomposed and
-/// dynamic-schedule configs have no stable row ownership and skip the copy
-/// (`first_touch_applied()` reports false); their region path falls back to
-/// the plain-CSR kernels with the same scalar transformations. Symmetric
-/// kernels stream only the symmetric storage and halo windows, which
-/// their parallel build and the owning threads already place, so no
-/// general-CSR copy is made: `first_touch_applied()` then reports true for
-/// the arrays the symmetric kernels read, while the general run_local path
-/// (engine SpMM, BiCGSTAB) reads the source arrays, with identical results.
+/// share of rowptr/colind/values from local memory. Symmetric kernels
+/// stream only the symmetric storage and halo windows, which their parallel
+/// build and the owning threads already place, so no general-CSR copy is
+/// made: `first_touch_applied()` then reports true for the arrays the
+/// symmetric kernels read, while the general run_local path (engine SpMM,
+/// BiCGSTAB) reads the source arrays, with identical results.
 class PreparedSpmv {
  public:
   /// Preprocess `a` per `opts`. If opts.config.delta is set but the matrix
@@ -89,8 +94,9 @@ class PreparedSpmv {
   void run(std::span<const value_t> x, std::span<value_t> y, value_t alpha = 1.0,
            value_t beta = 0.0) const;
 
-  /// Per-thread row ownership of the region-reentrant path (balanced nnz,
-  /// one entry per requested thread; some ranges possibly empty).
+  /// Per-thread row ownership of the region-reentrant path (merge-path for
+  /// IMB configs, balanced nnz otherwise; one entry per requested thread,
+  /// some ranges possibly empty).
   [[nodiscard]] std::span<const RowRange> region_parts() const;
 
   /// Compute rows region_parts()[part] of Y = alpha A X + beta Y. No

@@ -28,22 +28,22 @@
 //    persistent region (no fork/join). The `*_dot` variants additionally
 //    fuse the dependent reduction w·y into the same row pass
 //    (single-vector by nature);
-//  - `spmm_decomposed` opens its own parallel regions (the decomposed
-//    one-shot path), and `spmm_csr_partitioned` is the plain partitioned
-//    driver it and the conventional vendor kernel (vendor/vendor_csr.hpp)
-//    share.
+//  - `spmm_csr_partitioned` is the one driver here that opens its own
+//    parallel region; only the conventional vendor kernel
+//    (vendor/vendor_csr.hpp) uses it.
+//
+// Every kernel keeps rows whole: a row of Y is one fixed-order pass by the
+// thread that owns it. Load balance is the partition's job — the host IMB
+// arm (decomposed or dynamic configs) is a merge-path partition of whole
+// rows (sparse/partition.hpp), not a separate kernel.
 #pragma once
-
-#include <omp.h>
 
 #include <algorithm>
 #include <array>
 #include <span>
-#include <vector>
 
 #include "kernels/block_view.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 
@@ -423,55 +423,6 @@ void spmm_csr_partitioned(const CsrView& a, ConstDenseBlockView x, DenseBlockVie
   for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(parts.size()); ++p) {
     csr_rows_block_any<Vectorize, Unroll, Prefetch>(a, x, y, alpha, beta,
                                                     parts[static_cast<std::size_t>(p)]);
-  }
-}
-
-/// Decomposed CSR (IMB class): Y = alpha A X + beta Y with short rows over
-/// the partitioned kernel and each long row computed cooperatively by all
-/// threads, column by column: thread t sums the t-th static slice of the
-/// row into its own slot, and the slots are added in thread order. (An
-/// OpenMP reduction would add them in arrival order, so the same thread
-/// count could give different bits from run to run.) The short-part pass
-/// already deposited alpha*0 + beta*Y_old in the long-row slots (long rows
-/// are emptied in the short part), so the long-row store *adds* alpha*total
-/// to the slot instead of rescaling it by beta a second time.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_decomposed(const DecomposedCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                     value_t alpha, value_t beta, std::span<const RowRange> parts) {
-  spmm_csr_partitioned<Vectorize, Unroll, Prefetch>(make_view(a.short_part()), x, y, alpha, beta,
-                                                    parts);
-
-  const bool plain = alpha == 1.0 && beta == 0.0;
-  const auto rowptr = a.long_rowptr();
-  const auto colind = a.long_colind();
-  const auto values = a.long_values();
-  const auto long_rows = a.long_rows();
-  if (long_rows.empty()) return;
-  std::vector<value_t> partial(static_cast<std::size_t>(omp_get_max_threads()));
-  for (std::size_t k = 0; k < long_rows.size(); ++k) {
-    const auto b = rowptr[k];
-    const auto e = rowptr[k + 1];
-    const index_t row = long_rows[k];
-    for (index_t c = 0; c < x.width; ++c) {
-      std::fill(partial.begin(), partial.end(), 0.0);
-#pragma omp parallel default(none) shared(values, colind, x, b, e, c, partial)
-      {
-        const auto t = static_cast<offset_t>(omp_get_thread_num());
-        const auto nt = static_cast<offset_t>(omp_get_num_threads());
-        const offset_t lo = b + (e - b) * t / nt;
-        const offset_t hi = b + (e - b) * (t + 1) / nt;
-        value_t sum = 0.0;
-        for (offset_t j = lo; j < hi; ++j) {
-          const auto idx = static_cast<std::size_t>(j);
-          sum += values[idx] * x.at(colind[idx], c);
-        }
-        partial[static_cast<std::size_t>(t)] = sum;
-      }
-      value_t total = 0.0;
-      for (const value_t p : partial) total += p;
-      value_t& yv = y.at(row, c);
-      yv = plain ? total : alpha * total + yv;
-    }
   }
 }
 

@@ -7,6 +7,10 @@
 // the nonzeros, each processed cooperatively by all threads followed by a
 // reduction of partial sums. This removes the serialization of a single
 // thread grinding through a 100k-nonzero row.
+//
+// The format models the paper's arm: the simulator, its tests and
+// bench_preprocessing use it. Host kernels do not — the host IMB arm is a
+// merge-path partition of whole rows (partition_merge_path).
 #pragma once
 
 #include <span>

@@ -68,6 +68,40 @@ std::vector<RowRange> partition_balanced_nnz(const CsrMatrix& m, int nparts, int
   return parts;
 }
 
+std::vector<RowRange> partition_merge_path(const CsrMatrix& m, int nparts) {
+  if (nparts <= 0) throw std::invalid_argument{"partition_merge_path: nparts <= 0"};
+  const auto rowptr = m.rowptr();
+  const index_t nrows = m.nrows();
+  const offset_t total = static_cast<offset_t>(nrows) + m.nnz();
+  // Merge coordinate of the boundary after b rows, scaled by nparts so the
+  // share targets total * (p + 1) / nparts compare exactly in integers.
+  const auto scaled = [&](index_t b) {
+    return (static_cast<offset_t>(b) + rowptr[static_cast<std::size_t>(b)]) * nparts;
+  };
+  std::vector<RowRange> parts(static_cast<std::size_t>(nparts));
+  index_t begin = 0;
+  for (int p = 0; p < nparts; ++p) {
+    const offset_t target = total * (p + 1);
+    // First boundary at or past the target; the one before it wins when it
+    // is at least as near. Targets grow with p, so the ends never decrease.
+    index_t lo = begin;
+    index_t hi = nrows;
+    while (lo < hi) {
+      const index_t mid = lo + (hi - lo) / 2;
+      if (scaled(mid) < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo > begin && target - scaled(lo - 1) <= scaled(lo) - target) --lo;
+    parts[static_cast<std::size_t>(p)] = {begin, lo};
+    begin = lo;
+  }
+  SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{parts}, nrows);
+  return parts;
+}
+
 std::vector<RowRange> partition_equal_rows(index_t nrows, int nparts, int threads) {
   if (nparts <= 0) throw std::invalid_argument{"partition_equal_rows: nparts <= 0"};
   std::vector<RowRange> parts(static_cast<std::size_t>(nparts));

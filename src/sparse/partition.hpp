@@ -3,8 +3,9 @@
 // The paper's baseline uses "a static one-dimensional row partitioning
 // scheme, where each partition has approximately equal number of nonzero
 // elements and is assigned to a single thread" (§IV-A). The vendor baseline
-// uses a conventional equal-rows static split, and the IMB optimization can
-// switch to dynamic (OpenMP "auto"-like) scheduling.
+// uses a conventional equal-rows static split. The host IMB arm balances rows
+// plus nonzeros instead (merge-path coordinates, Merrill & Garland SC'16),
+// because a thread's cost follows both.
 #pragma once
 
 #include <vector>
@@ -30,6 +31,16 @@ struct RowRange {
 /// omp_get_max_threads()); the result is identical for every thread count.
 std::vector<RowRange> partition_balanced_nnz(const CsrMatrix& m, int nparts,
                                              int threads = 0);
+
+/// Partition whole rows so that each of `nparts` ranges carries
+/// approximately equal rows + nonzeros. On the merge path of rowptr against
+/// the nonzero indices, the boundary after b rows sits at coordinate
+/// b + rowptr[b]; each part ends at the boundary nearest to an equal share of
+/// nrows + nnz (binary search, ties to the lower), so every part lies within
+/// (longest row + 1) of the ideal share. Rows are never split: a row longer
+/// than one share stays whole in one part. Ranges cover [0, nrows) exactly,
+/// in order, some possibly empty.
+std::vector<RowRange> partition_merge_path(const CsrMatrix& m, int nparts);
 
 /// Conventional static split: approximately equal row counts. Closed-form
 /// per-partition bounds, parallel for large `nparts`.

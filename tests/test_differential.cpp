@@ -1,7 +1,8 @@
 // Property-based differential harness: several hundred PRNG-seeded matrices
 // drawn from the generator families behind gen::suite, each pushed through
 // every format build + kernel the registry can select — plain/vectorized/
-// delta/decomposed CSR and symmetric storage via PreparedSpmv, and
+// delta CSR, the IMB arm (decomposed and dynamic configs, merge-path
+// ownership) and symmetric storage via PreparedSpmv, and
 // SELL-C-sigma — at operand widths 1/2/4/8, and compared against a naive COO
 // reference evaluated in triplet order (a computation path none of the
 // kernels share).
@@ -157,7 +158,8 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
     SCOPED_TRACE("case " + std::to_string(case_i) + " family " + std::to_string(family) +
                  " seed " + std::to_string(seed));
 
-    // PreparedSpmv surfaces: baseline, fully-codegen'd, delta, decomposed.
+    // PreparedSpmv surfaces: baseline, fully-codegen'd, delta, and both IMB
+    // configs (decomposed, dynamic schedule).
     run_prepared_case(m, sim::KernelConfig{}, seed, "csr");
     sim::KernelConfig full;
     full.vectorized = true;
@@ -170,6 +172,9 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
     sim::KernelConfig dec;
     dec.decomposed = true;
     run_prepared_case(m, dec, seed, "decomposed");
+    sim::KernelConfig dyn;
+    dyn.schedule = sim::Schedule::kDynamicChunks;
+    run_prepared_case(m, dyn, seed, "dynamic");
 
     const auto rows = static_cast<std::size_t>(m.nrows());
     const auto cols = static_cast<std::size_t>(m.ncols());

@@ -8,7 +8,7 @@
 
 #include <string>
 #include <tuple>
-#include <utility>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
@@ -58,8 +58,9 @@ sim::KernelConfig make_config(bool vec, bool unroll, bool pf, bool delta, bool d
 }
 
 // One entry per host kernel of the optimization pool. Reassociating kernels
-// (SIMD, unrolled, cooperative long rows) get the 1e-10 tolerance; the
-// scalar ones reproduce the reference order and get 1e-12.
+// (SIMD, unrolled) get the 1e-10 tolerance; the scalar ones reproduce the
+// reference order and get 1e-12. The decomposed configs run the row kernels
+// over a merge-path partition, so the scalar one keeps the scalar tolerance.
 const KernelConfigCase kKernelConfigs[] = {
     {"base", make_config(false, false, false, false, false), 1e-12},
     {"vec", make_config(true, false, false, false, false), 1e-10},
@@ -69,7 +70,7 @@ const KernelConfigCase kKernelConfigs[] = {
     {"dynamic", make_config(false, false, false, false, false, sim::Schedule::kDynamicChunks),
      1e-12},
     {"delta", make_config(false, false, false, true, false), 1e-12},
-    {"decomposed", make_config(false, false, false, false, true), 1e-10},
+    {"decomposed", make_config(false, false, false, false, true), 1e-12},
     {"decomposed_vec", make_config(true, false, false, false, true), 1e-10},
 };
 
@@ -149,7 +150,9 @@ void expect_bitwise(std::span<const value_t> got, std::span<const value_t> want,
 
 // Row-owned kernels compute each row of Y in one fixed-order pass by
 // whichever thread owns it, so the output is independent of the partition
-// and the team size: bitwise identical at every thread count.
+// and the team size: bitwise identical at every thread count. The IMB arm
+// (decomposed, dynamic) is a merge-path partition of whole rows, so it is
+// row-owned too.
 TEST(KernelDeterminism, RowOwnedKernelsAreBitwiseAcrossThreadCounts) {
   const CsrMatrix m = gen::powerlaw(20000, 1.7, 2000, 330);
   const sim::KernelConfig row_owned[] = {
@@ -162,13 +165,16 @@ TEST(KernelDeterminism, RowOwnedKernelsAreBitwiseAcrossThreadCounts) {
       make_config(false, false, false, false, false, sim::Schedule::kStaticRows),
       make_config(false, false, false, true, false),
       make_config(true, false, false, true, false),
+      make_config(false, false, false, false, true),
+      make_config(true, true, false, false, true),
+      make_config(true, false, false, false, false, sim::Schedule::kDynamicChunks),
   };
   for (const int k : {1, 4}) {
     const auto xs = random_vector(static_cast<std::size_t>(m.ncols()) * static_cast<std::size_t>(k),
                                   331 + static_cast<std::uint64_t>(k));
     for (const auto& cfg : row_owned) {
       const auto want = run_at(m, cfg, 1, k, xs);
-      for (const int threads : {2, 3, 4, 7}) {
+      for (const int threads : {2, 3, 4, 7, 8}) {
         expect_bitwise(run_at(m, cfg, threads, k, xs), want,
                        cfg.describe() + " k" + std::to_string(k) + " at " +
                            std::to_string(threads) + " threads");
@@ -177,31 +183,21 @@ TEST(KernelDeterminism, RowOwnedKernelsAreBitwiseAcrossThreadCounts) {
   }
 }
 
-// Decomposed sums each long row cooperatively and SymCsr reduces mirror
-// contributions per partition: both reassociate by thread count, so the
-// contract is only repeatability at a fixed thread count.
-TEST(KernelDeterminism, DecomposedAndSymmetricRepeatAtAFixedThreadCount) {
-  const CsrMatrix skewed = gen::powerlaw(20000, 1.7, 2000, 332);
+// SymCsr reduces mirror contributions per partition, so it reassociates by
+// thread count: the contract is only repeatability at a fixed thread count.
+TEST(KernelDeterminism, SymmetricRepeatsAtAFixedThreadCount) {
   const CsrMatrix spd = gen::stencil5(100, 100);
   sim::KernelConfig sym;
   sym.symmetric = true;
-  const std::pair<const CsrMatrix*, sim::KernelConfig> cases[] = {
-      {&skewed, make_config(false, false, false, false, true)},
-      {&skewed, make_config(true, true, false, false, true)},
-      {&spd, sym},
-  };
   for (const int k : {1, 4}) {
-    for (const auto& [m, cfg] : cases) {
-      const auto xs =
-          random_vector(static_cast<std::size_t>(m->ncols()) * static_cast<std::size_t>(k),
-                        333 + static_cast<std::uint64_t>(k));
-      for (const int threads : {1, 3, 4}) {
-        const auto first = run_at(*m, cfg, threads, k, xs);
-        for (int rep = 0; rep < 3; ++rep) {
-          expect_bitwise(run_at(*m, cfg, threads, k, xs), first,
-                         cfg.describe() + " k" + std::to_string(k) + " at " +
-                             std::to_string(threads) + " threads");
-        }
+    const auto xs = random_vector(static_cast<std::size_t>(spd.ncols()) * static_cast<std::size_t>(k),
+                                  333 + static_cast<std::uint64_t>(k));
+    for (const int threads : {1, 3, 4}) {
+      const auto first = run_at(spd, sym, threads, k, xs);
+      for (int rep = 0; rep < 3; ++rep) {
+        expect_bitwise(run_at(spd, sym, threads, k, xs), first,
+                       sym.describe() + " k" + std::to_string(k) + " at " +
+                           std::to_string(threads) + " threads");
       }
     }
   }
@@ -310,6 +306,35 @@ TEST(Registry, RejectsNegativeThreads) {
                std::invalid_argument);
   // threads = 0 means "all available" in the options API.
   EXPECT_GT(kernels::PreparedSpmv(m, kernels::SpmvOptions{}).threads(), 0);
+}
+
+// The host IMB arm is one partition: decomposed and dynamic configs own
+// merge-path rows on both surfaces and get the first-touch copies; every
+// other general config keeps the nnz-balanced baseline.
+TEST(Registry, ImbConfigsOwnMergePathRows) {
+  const CsrMatrix m = gen::powerlaw(5000, 1.7, 1500, 325);
+  const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 326);
+  aligned_vector<value_t> want(static_cast<std::size_t>(m.nrows()));
+  spmv_reference(m, x, want);
+  const sim::KernelConfig imb[] = {
+      make_config(false, false, false, false, true),
+      make_config(true, true, false, false, true),
+      make_config(false, false, false, false, false, sim::Schedule::kDynamicChunks),
+  };
+  for (const auto& cfg : imb) {
+    SCOPED_TRACE(cfg.describe());
+    const kernels::PreparedSpmv prepared{
+        m, kernels::SpmvOptions{.config = cfg, .threads = 4, .first_touch = true}};
+    const auto parts = prepared.region_parts();
+    EXPECT_EQ(std::vector<RowRange>(parts.begin(), parts.end()), partition_merge_path(m, 4));
+    EXPECT_TRUE(prepared.first_touch_applied());
+    aligned_vector<value_t> y(want.size(), -3.0);
+    prepared.run(x, y);
+    expect_near(y, want, 1e-10);
+  }
+  const kernels::PreparedSpmv base{m, kernels::SpmvOptions{.threads = 4}};
+  const auto parts = base.region_parts();
+  EXPECT_EQ(std::vector<RowRange>(parts.begin(), parts.end()), partition_balanced_nnz(m, 4));
 }
 
 TEST(Registry, StaticRowsScheduleSupported) {

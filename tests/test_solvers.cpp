@@ -287,8 +287,9 @@ TEST(Solvers, RejectShapeMismatch) {
 // spmv_reference, not the solver's own recurrence) when the engine runs a
 // tuned kernel: delta-compressed indices, software prefetch, long-row
 // decomposition and symmetric storage. The system is an SPD arrow matrix:
-// a narrow band plus one dense row and column, long enough (> 1024 nnz) for
-// the decomposed kernel to split it.
+// a narrow band plus one dense row and column, long enough (> 1024 nnz) that
+// the decomposition would split it; the host runs the decomposed config over
+// merge-path ownership, where that row stays whole in one part.
 TEST(Solvers, SolveWithTunedKernelConfig) {
   constexpr index_t n = 1200;
   const CsrMatrix band = gen::banded(n, 4, 3, 550);

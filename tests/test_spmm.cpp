@@ -201,7 +201,7 @@ TEST(Spmm, AlphaBetaIdentities) {
     EXPECT_NEAR(y[i], 2.5 * ax[i] - 0.5 * y0[i], 1e-10);
   }
 
-  // And on the decomposed path, whose long rows merge the two passes.
+  // And on a decomposed config, which runs over the merge-path partition.
   sim::KernelConfig dec;
   dec.decomposed = true;
   const kernels::PreparedSpmv decomposed{m, kernels::SpmvOptions{.config = dec, .threads = 4}};
