@@ -12,8 +12,6 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_sell.hpp"
-#include "sparse/sell.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace {
@@ -96,30 +94,16 @@ void BM_AutoSched_Skewed(benchmark::State& state) {
 }
 BENCHMARK(BM_AutoSched_Skewed);
 
-void BM_Sell_Banded(benchmark::State& state) {
-  const CsrMatrix& m = banded_matrix();
-  const auto sell = SellMatrix::from_csr(m, 8, 256);
-  const auto x = input_vector(m);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  for (auto _ : state) {
-    kernels::spmv_sell(sell, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * static_cast<double>(m.nnz()) * static_cast<double>(state.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Sell_Banded);
-
 // The two bound micro-benchmark kernels (paper SIII-B) on the host.
 void BM_PmlKernel_Scattered(benchmark::State& state) {
   const CsrMatrix& m = scattered_matrix();
   const auto colind = kernels::regularized_colind(m);
+  const kernels::CsrView regularized{m.rowptr(), colind, m.values(), m.nrows()};
   const auto x = input_vector(m);
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
   const auto parts = partition_balanced_nnz(m, 4);
   for (auto _ : state) {
-    kernels::spmv_with_colind(m, colind, x, y, parts);
+    kernels::time_csr_parts(regularized, x, y, parts, 1);
     benchmark::DoNotOptimize(y.data());
   }
 }

@@ -23,8 +23,7 @@ struct Prepared {
   const CsrMatrix* source = nullptr;
   std::optional<DeltaCsrMatrix> delta;
   std::optional<SymCsrMatrix> sym;
-  std::vector<RowRange> parts;         // one-shot partitions (config-dependent)
-  std::vector<RowRange> region_parts;  // thread ownership, always built
+  std::vector<RowRange> region_parts;  // thread ownership of both surfaces
 
   // Views the kernels read through — the source arrays, or the first-touch
   // copies below when NUMA placement was requested.
@@ -47,17 +46,12 @@ struct Prepared {
   NumaArray<value_t> sym_scratch;
 
   /// One row-range block runner per specialized chunk width — slot i handles
-  /// width 1 << i (1, 2, 4, 8). This is the k-specialized impl table the
-  /// block_width hint preallocates: every execution path (one-shot and
-  /// region-reentrant) decomposes its operand width into these chunks.
+  /// width 1 << i (1, 2, 4, 8): the k-specialized impl table. Every
+  /// execution path (one-shot and region-reentrant) decomposes its operand
+  /// width into these chunks.
   using BlockRowsFn = void (*)(const Prepared&, RowRange, ConstDenseBlockView,
                                DenseBlockView, value_t, value_t);
   std::array<BlockRowsFn, 4> block_rows{};
-
-  /// Preplanned greedy chunk schedule for the hinted operand width; runs
-  /// whose width matches the hint walk this instead of re-deriving it.
-  index_t hint_width = 1;
-  std::vector<index_t> hint_chunks;
 
   // Region-reentrant fused SpMV+dot (one owned RowRange per call, no
   // pragmas; single-vector by nature).
@@ -71,48 +65,24 @@ namespace {
 
 using detail_registry::Prepared;
 
+/// The one chunk rule: the next register-blocked chunk of a greedy 8/4/2/1
+/// decomposition when `rem` operand columns are left, capped at `cap`.
+index_t chunk_width(index_t rem, index_t cap = 8) {
+  const index_t w = rem >= 8 ? 8 : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
+  return std::min(w, cap);
+}
+
 /// Slot of the k-specialized table that handles chunk width w (1/2/4/8).
 int chunk_slot(index_t w) {
   return w == 8 ? 3 : w == 4 ? 2 : w == 2 ? 1 : 0;
 }
 
-/// Greedy decomposition of an operand width into specialized chunk widths.
-std::vector<index_t> plan_chunks(index_t width) {
-  // Chunk count is known up front: width / 8 eights plus at most one each
-  // of 4, 2, 1 for the remainder bits — size once, then fill.
-  const index_t rem = width % 8;
-  const auto count = static_cast<std::size_t>(width / 8 + ((rem & 4) != 0 ? 1 : 0) +
-                                              ((rem & 2) != 0 ? 1 : 0) + ((rem & 1) != 0 ? 1 : 0));
-  std::vector<index_t> plan(count);
-  std::size_t slot = 0;
-  index_t c = 0;
-  while (c < width) {
-    const index_t left = width - c;
-    const index_t w = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
-    plan[slot++] = w;
-    c += w;
-  }
-  return plan;
-}
-
-/// Rows `r` of Y = alpha A X + beta Y through the k-specialized impl table:
-/// the preplanned chunk schedule when the width matches the preparation
-/// hint, the same greedy decomposition derived on the fly otherwise.
+/// Rows `r` of Y = alpha A X + beta Y through the k-specialized impl table,
+/// one greedy chunk of the operand width at a time.
 void run_rows_blocked(const Prepared& p, RowRange r, ConstDenseBlockView x, DenseBlockView y,
                       value_t alpha, value_t beta) {
-  if (x.width == p.hint_width) {
-    index_t c = 0;
-    for (const index_t w : p.hint_chunks) {
-      p.block_rows[static_cast<std::size_t>(chunk_slot(w))](p, r, x.columns(c, w),
-                                                            y.columns(c, w), alpha, beta);
-      c += w;
-    }
-    return;
-  }
-  index_t c = 0;
-  while (c < x.width) {
-    const index_t rem = x.width - c;
-    const index_t w = rem >= 8 ? 8 : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
+  for (index_t c = 0; c < x.width;) {
+    const index_t w = chunk_width(x.width - c);
     p.block_rows[static_cast<std::size_t>(chunk_slot(w))](p, r, x.columns(c, w),
                                                           y.columns(c, w), alpha, beta);
     c += w;
@@ -120,10 +90,10 @@ void run_rows_blocked(const Prepared& p, RowRange r, ConstDenseBlockView x, Dens
 }
 
 /// One-shot partitioned driver (CSR or delta — the impl table decides):
-/// one partition per thread, the region shape of spmm_csr_partitioned.
+/// one region part per thread.
 void run_parts_blocked(const Prepared& p, ConstDenseBlockView x, DenseBlockView y,
                        value_t alpha, value_t beta) {
-  const auto parts = std::span<const RowRange>{p.parts};
+  const auto parts = std::span<const RowRange>{p.region_parts};
 #pragma omp parallel for default(none) shared(p, x, y, alpha, beta, parts) schedule(static, 1)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(parts.size()); ++i) {
     run_rows_blocked(p, parts[static_cast<std::size_t>(i)], x, y, alpha, beta);
@@ -148,11 +118,8 @@ void run_sym_blocked(Prepared& p, ConstDenseBlockView x, DenseBlockView y, value
   {
     const auto tid = static_cast<std::size_t>(omp_get_thread_num());
     const auto stride = static_cast<std::size_t>(omp_get_num_threads());
-    index_t c = 0;
-    while (c < width) {
-      const index_t rem = width - c;
-      index_t w = rem >= 8 ? 8 : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
-      if (w > cap) w = cap;
+    for (index_t c = 0; c < width;) {
+      const index_t w = chunk_width(width - c, cap);
       for (std::size_t pi = tid; pi < nparts; pi += stride) {
         sym_scatter_any(view, sched, scratch, pi, x.columns(c, w), y.columns(c, w), alpha, beta);
       }
@@ -196,10 +163,10 @@ struct CsrBlock {
   };
 };
 
-template <index_t K, bool V>
+template <index_t K>
 void delta_block_rows(const Prepared& p, RowRange r, ConstDenseBlockView x, DenseBlockView y,
                       value_t alpha, value_t beta) {
-  delta_rows_block<K, V>(p.delta_view, x, y, alpha, beta, r);
+  delta_rows_block<K>(p.delta_view, x, y, alpha, beta, r);
 }
 
 template <bool V, bool U, bool P>
@@ -211,11 +178,10 @@ struct LocalCsrDot {
   }
 };
 
-template <bool V>
 double local_delta_dot(const Prepared& p, RowRange r, std::span<const value_t> x,
                        std::span<value_t> y, std::span<const value_t> w, value_t alpha,
                        value_t beta) {
-  return delta_rows_local_dot<V>(p.delta_view, x, y, w, r, alpha, beta);
+  return delta_rows_local_dot(p.delta_view, x, y, w, r, alpha, beta);
 }
 
 /// Fill the k-specialized impl table for the plain-CSR kernels.
@@ -224,16 +190,6 @@ std::array<Prepared::BlockRowsFn, 4> csr_block_table(bool vec, bool unroll, bool
           pick<CsrBlock<2>::template Fn>(vec, unroll, prefetch),
           pick<CsrBlock<4>::template Fn>(vec, unroll, prefetch),
           pick<CsrBlock<8>::template Fn>(vec, unroll, prefetch)};
-}
-
-/// Fill the k-specialized impl table for the delta-compressed kernels.
-std::array<Prepared::BlockRowsFn, 4> delta_block_table(bool vec) {
-  if (vec) {
-    return {&delta_block_rows<1, true>, &delta_block_rows<2, true>, &delta_block_rows<4, true>,
-            &delta_block_rows<8, true>};
-  }
-  return {&delta_block_rows<1, false>, &delta_block_rows<2, false>,
-          &delta_block_rows<4, false>, &delta_block_rows<8, false>};
 }
 
 /// Copy `src` ranges into untouched `dst` storage from the threads that own
@@ -264,6 +220,11 @@ struct ElemRange {
 PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config_(opts.config) {
   if (opts.threads < 0) throw std::invalid_argument{"PreparedSpmv: threads < 0"};
   if (opts.block_width < 1) throw std::invalid_argument{"PreparedSpmv: block_width < 1"};
+  // The bound micro-benchmarks' x accesses are simulator descriptors; the
+  // host runs them as kernels/microbench_kernels.hpp drivers, not as configs.
+  if (opts.config.x_access != XAccess::kIndirect) {
+    throw std::invalid_argument{"PreparedSpmv: KernelConfig::x_access must be kIndirect"};
+  }
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
   threads_ = threads;
   block_width_ = opts.block_width;
@@ -273,18 +234,17 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   auto prepared = std::make_shared<Prepared>();
   prepared->source = &a;
   prepared->view = make_view(a);
+  // One partition per prepared kernel, owning whole rows on both surfaces.
   // The host IMB arm (long-row decomposition or dynamic scheduling in the
   // paper's pool) is merge-path row ownership: a thread's cost follows its
-  // rows plus its nonzeros, so both are balanced, and rows stay whole. Every
-  // other config keeps the paper's nnz-balanced baseline.
+  // rows plus its nonzeros, so both are balanced. The rows schedule (the
+  // conventional vendor split) owns equal row counts; every other config
+  // keeps the paper's nnz-balanced baseline.
   const bool imb = cfg.decomposed || cfg.schedule == Schedule::kDynamicChunks;
-  prepared->region_parts =
-      imb ? partition_merge_path(a, threads) : partition_balanced_nnz(a, threads);
-  prepared->parts = !imb && cfg.schedule == Schedule::kStaticRows
-                        ? partition_equal_rows(a.nrows(), threads)
-                        : prepared->region_parts;
-  prepared->hint_width = static_cast<index_t>(block_width_);
-  prepared->hint_chunks = plan_chunks(prepared->hint_width);
+  prepared->region_parts = imb ? partition_merge_path(a, threads)
+                           : cfg.schedule == Schedule::kStaticRows
+                               ? partition_equal_rows(a.nrows(), threads)
+                               : partition_balanced_nnz(a, threads);
 
   bool use_delta = cfg.delta;
   if (use_delta) {
@@ -315,9 +275,8 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   if (symmetric_applied_) {
     prepared->sym_view = make_view(*prepared->sym);
     // Scratch column capacity: the largest specialized chunk (1/2/4/8) the
-    // hinted operand width decomposes into; wider runs clamp their chunks.
-    index_t cap = 1;
-    while (cap < 8 && cap * 2 <= prepared->hint_width) cap *= 2;
+    // block_width hint decomposes into; wider runs clamp their chunks.
+    const index_t cap = chunk_width(static_cast<index_t>(block_width_));
     prepared->sym_sched = plan_sym_schedule(prepared->sym_view, prepared->region_parts, cap);
     prepared->sym_scratch = NumaArray<value_t>(prepared->sym_sched.scratch_elems);
     // First-touch the halo windows from their owning threads (the same
@@ -390,8 +349,9 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   // plain-CSR row kernels with the config's scalar transformations. IMB
   // configs differ only in their partition, so they run these too.
   if (use_delta) {
-    prepared->block_rows = delta_block_table(cfg.vectorized);
-    prepared->local_dot = cfg.vectorized ? &local_delta_dot<true> : &local_delta_dot<false>;
+    prepared->block_rows = {&delta_block_rows<1>, &delta_block_rows<2>, &delta_block_rows<4>,
+                            &delta_block_rows<8>};
+    prepared->local_dot = &local_delta_dot;
   } else {
     prepared->block_rows = csr_block_table(cfg.vectorized, cfg.unrolled, cfg.prefetch);
     prepared->local_dot = pick<LocalCsrDot>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
@@ -411,10 +371,9 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
       run_parts_blocked(*prepared, x, y, alpha, beta);
     };
   }
-  // Post-preparation structural contracts: both partitions must cover the
+  // Post-preparation structural contract: the partition must cover the
   // matrix exactly (a gap loses rows silently inside the persistent region).
   SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{prepared->region_parts}, a.nrows());
-  SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{prepared->parts}, a.nrows());
   prepared_ = std::move(prepared);
   prep_seconds_ = timer.seconds();
 

@@ -26,17 +26,20 @@ struct Prepared;
 /// Everything that parameterizes the preparation of one kernel instance.
 struct SpmvOptions {
   /// The composed kernel variant (tuner output). Default = baseline CSR.
+  /// `config.x_access` must be kIndirect (throws std::invalid_argument
+  /// otherwise): the bound micro-benchmarks run as the
+  /// kernels/microbench_kernels.hpp drivers, not as prepared configs.
   KernelConfig config{};
   /// Partition/thread count; 0 means omp_get_max_threads(). Negative throws.
   int threads = 0;
   /// NUMA first-touch copies of the streaming arrays (see class comment).
   bool first_touch = false;
   /// Expected operand width k of run() calls (Y = alpha A X + beta Y with
-  /// X/Y being k columns wide). Preparation preplans the register-blocked
-  /// chunk schedule for this width (the k-specialized impl table), and the
-  /// tuner::PlanCache keys prepared entries on it so cached plans are never
-  /// shared across incompatible block widths. Any width still executes —
-  /// non-hinted widths take the generic greedy chunking. Must be >= 1.
+  /// X/Y being k columns wide). It has two jobs: tuner::PlanCache keys
+  /// prepared entries on it, so cached plans are never shared across block
+  /// widths, and symmetric storage sizes its halo scratch for the widest
+  /// chunk (1/2/4/8) of this width. Any width still executes: every run
+  /// splits its operand greedily into 8/4/2/1-column chunks. Must be >= 1.
   int block_width = 1;
 };
 
@@ -61,13 +64,15 @@ struct SpmvOptions {
 ///    iterations without fork/join. Ownership is the partition returned by
 ///    `region_parts()` — one range per requested thread, always built.
 ///
-/// Partitions. Every config owns whole rows. IMB configs (`decomposed`, or
-/// the dynamic schedule) balance rows + nonzeros per thread
-/// (`partition_merge_path`) and use that one partition for both surfaces;
-/// they run the plain-CSR (or delta) row kernels with the config's scalar
-/// transformations, so their output is bitwise identical at every thread
-/// count. Every other config owns the paper's nnz-balanced partition; the
-/// rows schedule runs its one-shot path over equal row counts instead.
+/// Partitions. Every config owns whole rows on one partition, chosen per
+/// config and used by both surfaces: IMB configs (`decomposed`, or the
+/// dynamic schedule) balance rows + nonzeros per thread
+/// (`partition_merge_path`), the rows schedule (the vendor comparator's
+/// split) owns equal row counts (`partition_equal_rows`), and every other
+/// config owns the paper's nnz-balanced partition. All of them run the
+/// plain-CSR (or delta) row kernels with the config's scalar
+/// transformations, so the output of every general config is bitwise
+/// identical at every thread count.
 ///
 /// With `first_touch` set, the CSR (or delta) streams are copied into
 /// untouched storage and initialized range-by-range from the threads that
@@ -94,9 +99,9 @@ class PreparedSpmv {
   void run(std::span<const value_t> x, std::span<value_t> y, value_t alpha = 1.0,
            value_t beta = 0.0) const;
 
-  /// Per-thread row ownership of the region-reentrant path (merge-path for
-  /// IMB configs, balanced nnz otherwise; one entry per requested thread,
-  /// some ranges possibly empty).
+  /// Per-thread row ownership of both surfaces (merge-path for IMB configs,
+  /// equal rows for the rows schedule, balanced nnz otherwise; one entry per
+  /// requested thread, some ranges possibly empty).
   [[nodiscard]] std::span<const RowRange> region_parts() const;
 
   /// Compute rows region_parts()[part] of Y = alpha A X + beta Y. No
@@ -157,7 +162,7 @@ class PreparedSpmv {
   /// back to the general kernels, like an incompressible delta config).
   [[nodiscard]] bool symmetric_applied() const { return symmetric_applied_; }
   [[nodiscard]] bool first_touch_applied() const { return first_touch_applied_; }
-  /// The operand-width hint preparation planned for (>= 1).
+  /// The operand-width hint preparation was keyed on (>= 1).
   [[nodiscard]] int block_width() const { return block_width_; }
   /// Estimated bytes streamed from memory by one run() of the given operand
   /// width: the matrix arrays in the prepared format once (the SpMM

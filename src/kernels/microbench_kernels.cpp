@@ -1,5 +1,7 @@
 #include "kernels/microbench_kernels.hpp"
 
+#include <omp.h>
+
 namespace sparta::kernels {
 
 aligned_vector<index_t> regularized_colind(const CsrMatrix& a) {
@@ -15,25 +17,25 @@ aligned_vector<index_t> regularized_colind(const CsrMatrix& a) {
   return colind;
 }
 
-void spmv_with_colind(const CsrMatrix& a, std::span<const index_t> colind,
-                      std::span<const value_t> x, std::span<value_t> y,
-                      std::span<const RowRange> parts) {
-  const auto rowptr = a.rowptr();
-  const auto values = a.values();
-#pragma omp parallel for default(none) shared(parts, rowptr, colind, values, x, y) \
-    schedule(static, 1)
-  for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(parts.size()); ++p) {
-    const RowRange r = parts[static_cast<std::size_t>(p)];
-    for (index_t i = r.begin; i < r.end; ++i) {
-      value_t acc = 0.0;
-      for (offset_t j = rowptr[static_cast<std::size_t>(i)];
-           j < rowptr[static_cast<std::size_t>(i) + 1]; ++j) {
-        const auto k = static_cast<std::size_t>(j);
-        acc += values[k] * x[static_cast<std::size_t>(colind[k])];
-      }
-      y[static_cast<std::size_t>(i)] = acc;
+TimedRun time_csr_parts(const CsrView& a, std::span<const value_t> x, std::span<value_t> y,
+                        std::span<const RowRange> parts, int iterations) {
+  TimedRun run;
+  run.part_seconds.assign(parts.size(), 0.0);
+  const auto xv = ConstDenseBlockView::from_vector(x);
+  const auto yv = DenseBlockView::from_vector(y);
+  const double start = omp_get_wtime();
+  for (int it = 0; it < iterations; ++it) {
+#pragma omp parallel for default(none) shared(a, xv, yv, parts, run) schedule(static, 1)
+    for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(parts.size()); ++p) {
+      const double t0 = omp_get_wtime();
+      csr_rows_block<1, false, false, false>(a, xv, yv, 1.0, 0.0,
+                                             parts[static_cast<std::size_t>(p)]);
+      run.part_seconds[static_cast<std::size_t>(p)] += omp_get_wtime() - t0;
     }
   }
+  run.seconds = (omp_get_wtime() - start) / iterations;
+  for (auto& t : run.part_seconds) t /= iterations;
+  return run;
 }
 
 void spmv_unit_stride(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y,

@@ -5,32 +5,34 @@
 //   Vectorize — #pragma omp simd on the inner loop (MB/CMP classes)
 //   Unroll    — 4-way manual unrolling (CMP class)
 //   Prefetch  — software prefetch of x[colind[j + dist]] into L1 (ML class)
-// The registry (kernel_registry.hpp) instantiates the eight combinations per
-// format and dispatches a KernelConfig to the right one. These kernels are
-// the *real* implementations: they run multithreaded on the host and every
-// one of them is validated against spmv_reference in the test suite. The
-// modeled platforms use their cost descriptors instead (sim/kernel_model).
+// The registry (kernel_registry.hpp) instantiates the eight combinations for
+// plain CSR and dispatches a KernelConfig to the right one; delta-compressed
+// CSR has a single row body (its decode loop is neither unrolled nor
+// prefetched). These kernels are the *real* implementations: they run
+// multithreaded on the host and every one of them is validated against
+// spmv_reference in the test suite. The modeled platforms use their cost
+// descriptors instead (sim/kernel_model).
 //
 // Every kernel computes Y = alpha * A * X + beta * Y over dense operand
 // blocks (block_view.hpp): X is ncols x k, Y is nrows x k. The matrix stream
 // (rowptr/colind/values) is read ONCE per k operand columns — the SpMM
 // amortization of Saule/Kaya/Catalyurek (arXiv:1302.1078) — with the column
-// count register-blocked at compile time for k in {1, 2, 4, 8}; other widths
-// decompose greedily into those chunks. The k = 1 instantiation delegates to
-// the same scalar row bodies the historical single-vector path compiled to,
-// and alpha = 1, beta = 0 takes a branch to the direct store, so the vector
-// API (a width-1 block) is bit-identical to the pre-block code.
+// count register-blocked at compile time for k in {1, 2, 4, 8}; the registry
+// decomposes other widths greedily into those chunks. The k = 1
+// instantiation delegates to the same scalar row bodies the historical
+// single-vector path compiled to, and alpha = 1, beta = 0 takes a branch to
+// the direct store, so the vector API (a width-1 block) is bit-identical to
+// the pre-block code.
 //
 // These templates are the building blocks of kernels::PreparedSpmv
-// (kernel_registry.hpp), the one execution entry for every KernelConfig:
-//  - `*_rows_block` compute a single RowRange with no pragmas; the registry
-//    drives them from its one-shot regions and from the solver engine's
-//    persistent region (no fork/join). The `*_dot` variants additionally
-//    fuse the dependent reduction w·y into the same row pass
-//    (single-vector by nature);
-//  - `spmm_csr_partitioned` is the one driver here that opens its own
-//    parallel region; only the conventional vendor kernel
-//    (vendor/vendor_csr.hpp) uses it.
+// (kernel_registry.hpp), the one execution entry for every KernelConfig.
+// They compute a single RowRange with no pragmas; the registry drives them
+// from its one-shot region and from the solver engine's persistent region
+// (no fork/join). The `*_dot` variants additionally fuse the dependent
+// reduction w·y into the same row pass (single-vector by nature). No host
+// CSR code runs outside them: the vendor comparator is the registry's
+// row-static config (vendor/vendor_csr.hpp), and the bound micro-benchmarks
+// (microbench_kernels.hpp) run csr_rows_block on a changed input view.
 //
 // Every kernel keeps rows whole: a row of Y is one fixed-order pass by the
 // thread that owns it. Load balance is the partition's job — the host IMB
@@ -160,7 +162,7 @@ inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
 /// only known after decode), mirroring the paper's pool where MB and ML
 /// optimizations target different matrices. The first element carries the
 /// absolute column and is peeled so the decode loop is branch-free.
-template <class Width, bool Vectorize>
+template <class Width>
 inline value_t delta_row(index_t first_col, const Width* SPARTA_RESTRICT deltas,
                          const value_t* SPARTA_RESTRICT values,
                          const value_t* SPARTA_RESTRICT x, offset_t begin, offset_t end) {
@@ -290,7 +292,7 @@ inline void csr_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockVi
 
 /// Delta-compressed rows [r.begin, r.end) of Y = alpha A X + beta Y for a
 /// compile-time column count K (see csr_rows_block for the K = 1 rule).
-template <index_t K, bool Vectorize>
+template <index_t K>
 inline void delta_rows_block(const DeltaView& a, ConstDenseBlockView x, DenseBlockView y,
                              value_t alpha, value_t beta, RowRange r) {
   const bool plain = alpha == 1.0 && beta == 0.0;
@@ -304,10 +306,8 @@ inline void delta_rows_block(const DeltaView& a, ConstDenseBlockView x, DenseBlo
         const auto e = a.rowptr[k + 1];
         const index_t fc = a.first_col[k];
         const value_t acc =
-            narrow ? detail::delta_row<std::uint8_t, Vectorize>(fc, a.deltas8.data(), vals,
-                                                                x.data, b, e)
-                   : detail::delta_row<std::uint16_t, Vectorize>(fc, a.deltas16.data(), vals,
-                                                                 x.data, b, e);
+            narrow ? detail::delta_row<std::uint8_t>(fc, a.deltas8.data(), vals, x.data, b, e)
+                   : detail::delta_row<std::uint16_t>(fc, a.deltas16.data(), vals, x.data, b, e);
         value_t& yi = *y.row(i);
         yi = plain ? acc : alpha * acc + beta * yi;
       }
@@ -328,36 +328,6 @@ inline void delta_rows_block(const DeltaView& a, ConstDenseBlockView x, DenseBlo
                                                 b, e, acc.data());
     }
     detail::store_row_block<K>(y.row(i), acc.data(), alpha, beta, plain);
-  }
-}
-
-/// Arbitrary-width driver: greedily decomposes the operand width into the
-/// specialized chunks (8, 4, 2, 1), re-reading the matrix stream once per
-/// chunk. Width 1 therefore takes exactly one K = 1 pass — the historical
-/// single-vector code path.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-inline void csr_rows_block_any(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
-                               value_t alpha, value_t beta, RowRange r) {
-  index_t c = 0;
-  while (c < x.width) {
-    const index_t rem = x.width - c;
-    if (rem >= 8) {
-      csr_rows_block<8, Vectorize, Unroll, Prefetch>(a, x.columns(c, 8), y.columns(c, 8),
-                                                     alpha, beta, r);
-      c += 8;
-    } else if (rem >= 4) {
-      csr_rows_block<4, Vectorize, Unroll, Prefetch>(a, x.columns(c, 4), y.columns(c, 4),
-                                                     alpha, beta, r);
-      c += 4;
-    } else if (rem >= 2) {
-      csr_rows_block<2, Vectorize, Unroll, Prefetch>(a, x.columns(c, 2), y.columns(c, 2),
-                                                     alpha, beta, r);
-      c += 2;
-    } else {
-      csr_rows_block<1, Vectorize, Unroll, Prefetch>(a, x.columns(c, 1), y.columns(c, 1),
-                                                     alpha, beta, r);
-      c += 1;
-    }
   }
 }
 
@@ -385,7 +355,6 @@ inline double csr_rows_local_dot(const CsrView& a, std::span<const value_t> x,
 
 /// Delta-compressed rows fused with the partial reduction w·y (see
 /// csr_rows_local_dot).
-template <bool Vectorize>
 inline double delta_rows_local_dot(const DeltaView& a, std::span<const value_t> x,
                                    std::span<value_t> y, std::span<const value_t> w, RowRange r,
                                    value_t alpha = 1.0, value_t beta = 0.0) {
@@ -399,31 +368,13 @@ inline double delta_rows_local_dot(const DeltaView& a, std::span<const value_t> 
     const index_t fc = a.first_col[k];
     const value_t ai =
         a.width == DeltaWidth::k8
-            ? detail::delta_row<std::uint8_t, Vectorize>(fc, a.deltas8.data(), vals, x.data(),
-                                                         b, e)
-            : detail::delta_row<std::uint16_t, Vectorize>(fc, a.deltas16.data(), vals,
-                                                          x.data(), b, e);
+            ? detail::delta_row<std::uint8_t>(fc, a.deltas8.data(), vals, x.data(), b, e)
+            : detail::delta_row<std::uint16_t>(fc, a.deltas16.data(), vals, x.data(), b, e);
     const value_t yi = plain ? ai : alpha * ai + beta * y[k];
     y[k] = yi;
     acc += w[k] * yi;
   }
   return acc;
-}
-
-// ---------------------------------------------------------------------------
-// One-shot entry points (open their own parallel region).
-// ---------------------------------------------------------------------------
-
-/// Plain CSR over precomputed row partitions (one partition per thread):
-/// Y = alpha A X + beta Y.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_partitioned(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
-                          value_t alpha, value_t beta, std::span<const RowRange> parts) {
-#pragma omp parallel for default(none) shared(a, x, y, alpha, beta, parts) schedule(static, 1)
-  for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(parts.size()); ++p) {
-    csr_rows_block_any<Vectorize, Unroll, Prefetch>(a, x, y, alpha, beta,
-                                                    parts[static_cast<std::size_t>(p)]);
-  }
 }
 
 }  // namespace sparta::kernels

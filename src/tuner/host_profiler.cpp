@@ -9,8 +9,6 @@
 #include "common/timer.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_kernels.hpp"
-#include "kernels/spmv_timed.hpp"
 
 namespace sparta {
 
@@ -48,25 +46,25 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
   PerfBounds b;
 
   // Baseline with per-thread timing (warm-up iteration excluded).
-  kernels::spmm_csr_partitioned<false, false, false>(
-      kernels::make_view(m), kernels::ConstDenseBlockView::from_vector(x),
-      kernels::DenseBlockView::from_vector(y), 1.0, 0.0, parts);
-  const auto timed = kernels::spmv_csr_timed(m, x, y, parts, options.iterations);
+  const kernels::CsrView source = kernels::make_view(m);
+  kernels::time_csr_parts(source, x, y, parts, 1);
+  const auto timed = kernels::time_csr_parts(source, x, y, parts, options.iterations);
   b.t_csr_seconds = timed.seconds;
-  b.thread_seconds = timed.thread_seconds;
+  b.thread_seconds = timed.part_seconds;
   b.p_csr = gflops(m, timed.seconds);
 
   std::vector<double> busy;
-  for (double t : timed.thread_seconds) {
+  for (double t : timed.part_seconds) {
     if (t > 1e-3 * timed.seconds) busy.push_back(t);
   }
-  const double t_median = stats::median(busy.empty() ? timed.thread_seconds : busy);
+  const double t_median = stats::median(busy.empty() ? timed.part_seconds : busy);
   b.p_imb = t_median > 0.0 ? gflops(m, t_median) : b.p_csr;
 
-  // P_ML: the regularized-colind kernel.
+  // P_ML: the same kernel on the regularized-colind view.
   const auto reg_colind = kernels::regularized_colind(m);
+  const kernels::CsrView regularized{m.rowptr(), reg_colind, m.values(), m.nrows()};
   b.p_ml = gflops(m, time_kernel(
-                         [&] { kernels::spmv_with_colind(m, reg_colind, x, y, parts); },
+                         [&] { kernels::time_csr_parts(regularized, x, y, parts, 1); },
                          options.iterations));
 
   // P_CMP: the unit-stride kernel.

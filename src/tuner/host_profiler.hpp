@@ -3,8 +3,8 @@
 // mode a downstream user of the library cares about. The modeled platforms
 // (sim/) reproduce the paper's testbeds; this module applies the identical
 // bound-and-bottleneck pipeline to live hardware:
-//   P_CSR / P_IMB — timed baseline run with per-thread durations
-//   P_ML          — timed run of the regularized-colind kernel
+//   P_CSR / P_IMB — timed baseline run with per-part durations
+//   P_ML          — the same timed kernel on a regularized-colind view
 //   P_CMP         — timed run of the unit-stride kernel
 //   P_MB / P_peak — analytic, anchored on the measured STREAM bandwidth
 // classify_profile() then consumes the measured bounds unchanged.

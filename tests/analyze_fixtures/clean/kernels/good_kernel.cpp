@@ -11,7 +11,7 @@ double dot(const double* SPARTA_RESTRICT a, const double* SPARTA_RESTRICT b, int
     reduction(+ : acc)
   {
     // Per-thread scratch allocated inside the parallel region but OUTSIDE
-    // any loop: legal (the spmv_sell pattern) — purity must not fire here.
+    // any loop: legal (per-thread lane accumulators) — purity must not fire here.
     std::vector<double> scratch(static_cast<std::size_t>(kWidth), 0.0);
 #pragma omp for schedule(static)
     for (int i = 0; i < n; ++i) {

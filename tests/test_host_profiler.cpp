@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/generators.hpp"
-#include "kernels/spmv_timed.hpp"
+#include "kernels/microbench_kernels.hpp"
 #include "tuner/host_profiler.hpp"
 
 namespace sparta {
@@ -16,15 +16,15 @@ TEST(SpmvTimed, ProducesCorrectResultAndTimings) {
   aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
   const auto parts = partition_balanced_nnz(m, 4);
-  const auto run = kernels::spmv_csr_timed(m, x, y, parts, 3);
+  const auto run = kernels::time_csr_parts(kernels::make_view(m), x, y, parts, 3);
 
   aligned_vector<value_t> want(y.size());
   spmv_reference(m, x, want);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], want[i], 1e-12);
 
   EXPECT_GT(run.seconds, 0.0);
-  ASSERT_EQ(run.thread_seconds.size(), 4u);
-  for (double t : run.thread_seconds) {
+  ASSERT_EQ(run.part_seconds.size(), 4u);
+  for (double t : run.part_seconds) {
     EXPECT_GE(t, 0.0);
     // A partition's busy time cannot exceed the total by more than noise.
     EXPECT_LE(t, run.seconds * 4.0 + 1e-3);

@@ -221,10 +221,11 @@ TEST(MicrobenchKernels, RegularizedKernelComputesRowScaledSums) {
   // With colind := i, y[i] = x[i] * sum(row values).
   const CsrMatrix m = gen::banded(300, 30, 7, 311);
   const auto colind = kernels::regularized_colind(m);
+  const kernels::CsrView regularized{m.rowptr(), colind, m.values(), m.nrows()};
   const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 312);
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
   const auto parts = partition_balanced_nnz(m, 3);
-  kernels::spmv_with_colind(m, colind, x, y, parts);
+  kernels::time_csr_parts(regularized, x, y, parts, 1);
   for (index_t i = 0; i < m.nrows(); ++i) {
     value_t row_sum = 0.0;
     for (value_t v : m.row_vals(i)) row_sum += v;
@@ -239,7 +240,7 @@ TEST(MicrobenchKernels, CustomColindMatchesReferenceWhenUnmodified) {
   aligned_vector<value_t> want(static_cast<std::size_t>(m.nrows()));
   spmv_reference(m, x, want);
   const auto parts = partition_balanced_nnz(m, 4);
-  kernels::spmv_with_colind(m, m.colind(), x, y, parts);
+  kernels::time_csr_parts(kernels::make_view(m), x, y, parts, 1);
   expect_near(y, want, 1e-12);
 }
 
@@ -335,6 +336,48 @@ TEST(Registry, ImbConfigsOwnMergePathRows) {
   const kernels::PreparedSpmv base{m, kernels::SpmvOptions{.threads = 4}};
   const auto parts = base.region_parts();
   EXPECT_EQ(std::vector<RowRange>(parts.begin(), parts.end()), partition_balanced_nnz(m, 4));
+}
+
+// The bound micro-benchmarks' x accesses describe simulator kernels only;
+// preparing one must fail loudly instead of running the indirect kernel.
+TEST(Registry, RejectsNonIndirectXAccess) {
+  const CsrMatrix m = gen::diagonal(10);
+  for (const auto access : {sim::XAccess::kRegularized, sim::XAccess::kUnitStride}) {
+    sim::KernelConfig cfg;
+    cfg.x_access = access;
+    try {
+      const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = cfg, .threads = 1}};
+      ADD_FAILURE() << cfg.describe() << " was prepared";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("x_access"), std::string::npos) << e.what();
+    }
+  }
+}
+
+// The rows schedule (the vendor comparator's split) owns equal row counts on
+// both surfaces, and its one-shot run equals a run_local sweep bit for bit.
+TEST(Registry, StaticRowsOwnsEqualRows) {
+  const CsrMatrix m = gen::powerlaw(3000, 1.7, 800, 327);
+  sim::KernelConfig cfg;
+  cfg.schedule = sim::Schedule::kStaticRows;
+  const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = cfg, .threads = 4}};
+  const auto parts = prepared.region_parts();
+  EXPECT_EQ(std::vector<RowRange>(parts.begin(), parts.end()),
+            partition_equal_rows(m.nrows(), 4));
+  const auto rows = static_cast<std::size_t>(m.nrows());
+  for (const int k : {1, 4}) {
+    const auto kk = static_cast<std::size_t>(k);
+    const auto xs =
+        random_vector(static_cast<std::size_t>(m.ncols()) * kk, 328 + static_cast<std::uint64_t>(k));
+    const kernels::ConstDenseBlockView x{xs.data(), m.ncols(), k, k};
+    aligned_vector<value_t> y_run(rows * kk, -3.0);
+    aligned_vector<value_t> y_local(rows * kk, -5.0);
+    prepared.run(x, kernels::DenseBlockView{y_run.data(), m.nrows(), k, k});
+    for (int p = 0; p < static_cast<int>(parts.size()); ++p) {
+      prepared.run_local(p, x, kernels::DenseBlockView{y_local.data(), m.nrows(), k, k});
+    }
+    expect_bitwise(y_run, y_local, "static rows k" + std::to_string(k));
+  }
 }
 
 TEST(Registry, StaticRowsScheduleSupported) {

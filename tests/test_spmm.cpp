@@ -14,7 +14,6 @@
 #include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/spmv_sell.hpp"
 #include "sparse/sell.hpp"
 #include "tuner/optimizations.hpp"
 #include "tuner/plan_cache.hpp"
@@ -314,37 +313,6 @@ TEST(Spmm, EngineSpmmMatchesPreparedRun) {
   aligned_vector<value_t> bad(rows * 2);
   EXPECT_THROW(eng.spmm(xb, kernels::DenseBlockView{bad.data(), m.nrows(), 2, 2}),
                std::invalid_argument);
-}
-
-// --- SELL block kernel -----------------------------------------------------
-
-TEST(Spmm, SellBlockMatchesVectorPath) {
-  const CsrMatrix m = gen::powerlaw(2000, 1.7, 300, 455);
-  const SellMatrix sell = SellMatrix::from_csr(m, 8, 256);
-  const auto rows = static_cast<std::size_t>(m.nrows());
-  const auto cols = static_cast<std::size_t>(m.ncols());
-
-  // Width 1 through the block kernel is the historical spmv_sell bit-for-bit.
-  const auto x = random_vector(cols, 456);
-  aligned_vector<value_t> y_vec(rows, -3.0);
-  aligned_vector<value_t> y_blk(rows, -3.0);
-  kernels::spmv_sell(sell, x, y_vec);
-  kernels::spmm_sell(sell, kernels::ConstDenseBlockView::from_vector(x),
-                     kernels::DenseBlockView::from_vector(y_blk));
-  expect_bitwise(y_blk, y_vec);
-
-  // Wider operands agree with per-column SpMVs.
-  const int k = 4;
-  const auto xs = random_vector(cols * k, 457);
-  aligned_vector<value_t> ys(rows * k, -5.0);
-  kernels::spmm_sell(sell, kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
-                     kernels::DenseBlockView{ys.data(), m.nrows(), k, k});
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto xc = column_of(xs, cols, k, c);
-    aligned_vector<value_t> want(rows);
-    spmv_reference(m, xc, want);
-    expect_near(column_of(ys, rows, k, c), want, 1e-10);
-  }
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 Rules (each suppressible on a line, or the line above it, with
 ``// sparta-lint: allow(<rule>)``):
 
-  deprecated-call  Calls to the removed tuner per-strategy entry points
-                   (plan_profile_guided, tune_feature_guided, ... — replaced
-                   by Autotuner::tune/plan(TuneOptions) in PR 2, deleted in
-                   PR 6). The rule stays armed so reintroductions are caught;
-                   there are no in-tree targets.
+  deprecated-call  Calls to deleted entry points: the tuner per-strategy
+                   functions (plan_profile_guided, ... — replaced by
+                   Autotuner::tune/plan(TuneOptions)), the pre-block
+                   single-vector kernels, and the host CSR side drivers and
+                   SELL kernels (replaced by PreparedSpmv configs and the
+                   timed bound driver). The rule stays armed so
+                   reintroductions are caught; there are no in-tree targets.
 
   raw-assert       `assert(...)` in src/. Raw asserts vanish under NDEBUG
                    and abort without context otherwise; use SPARTA_REQUIRE /
@@ -62,6 +64,16 @@ DEPRECATED_ENTRY_POINTS = (
     "spmv_delta_partitioned",
     "csr_rows_local",
     "delta_rows_local",
+    # Host CSR side drivers and the host SELL kernels, replaced by the
+    # registry's row kernels (PreparedSpmv configs, the timed bound driver
+    # in microbench_kernels.hpp). The kept spmv_sell_reference and
+    # simulate_spmv_sell do not match the word-boundary pattern.
+    "spmm_csr_partitioned",
+    "csr_rows_block_any",
+    "spmv_csr_timed",
+    "spmv_with_colind",
+    "spmv_sell",
+    "spmm_sell",
 )
 
 # Files where mentions of the names above are definitions rather than call
@@ -168,12 +180,12 @@ class Linter:
             lineno = idx + 1
             if rel not in DEPRECATED_DEFINITION_FILES:
                 for name in DEPRECATED_ENTRY_POINTS:
-                    if re.search(rf"\b{name}\s*\(", line) and \
+                    if re.search(rf"\b{name}\s*[(<]", line) and \
                             not supp.allowed("deprecated-call", idx):
                         self.report(
                             "deprecated-call", rel, lineno,
-                            f"call to deprecated '{name}'; use "
-                            "Autotuner::tune/plan(TuneOptions)",
+                            f"call to deleted '{name}'; see "
+                            "DEPRECATED_ENTRY_POINTS for its replacement",
                         )
             if in_src:
                 m = ASSERT_RE.search(line)
