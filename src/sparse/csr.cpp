@@ -65,18 +65,6 @@ CsrMatrix CsrMatrix::from_coo(const CooMatrix& coo, int threads) {
                    std::move(values)};
 }
 
-std::span<const index_t> CsrMatrix::row_cols(index_t i) const {
-  const auto b = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i)]);
-  const auto e = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i) + 1]);
-  return std::span<const index_t>{colind_}.subspan(b, e - b);
-}
-
-std::span<const value_t> CsrMatrix::row_vals(index_t i) const {
-  const auto b = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i)]);
-  const auto e = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i) + 1]);
-  return std::span<const value_t>{values_}.subspan(b, e - b);
-}
-
 std::size_t CsrMatrix::index_bytes() const {
   return rowptr_.size() * sizeof(offset_t) + colind_.size() * sizeof(index_t);
 }

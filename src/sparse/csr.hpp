@@ -48,9 +48,18 @@ class CsrMatrix {
                                 rowptr_[static_cast<std::size_t>(i)]);
   }
 
-  /// Column indices / values of row i.
-  [[nodiscard]] std::span<const index_t> row_cols(index_t i) const;
-  [[nodiscard]] std::span<const value_t> row_vals(index_t i) const;
+  /// Column indices / values of row i. Inline: the mirror walk of
+  /// is_symmetric looks up a row once per entry.
+  [[nodiscard]] std::span<const index_t> row_cols(index_t i) const {
+    const auto b = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i)]);
+    const auto e = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i) + 1]);
+    return std::span<const index_t>{colind_}.subspan(b, e - b);
+  }
+  [[nodiscard]] std::span<const value_t> row_vals(index_t i) const {
+    const auto b = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i)]);
+    const auto e = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i) + 1]);
+    return std::span<const value_t>{values_}.subspan(b, e - b);
+  }
 
   /// Bytes of the index structures (rowptr + colind).
   [[nodiscard]] std::size_t index_bytes() const;

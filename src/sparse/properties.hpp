@@ -28,15 +28,23 @@ struct RowScan {
   std::vector<double> misses;
 };
 
-/// Run the scan. `values_per_line` is the number of matrix values fitting in
-/// one cache line of the target platform (8 for 64-byte lines and doubles).
+/// Run the scan over parallel row chunks (the arrays are the same for every
+/// thread count). `values_per_line` is the number of matrix values fitting
+/// in one cache line of the target platform (8 for 64-byte lines and
+/// doubles).
 RowScan scan_rows(const CsrMatrix& m, int values_per_line = 8);
 
 /// True if the matrix is structurally and numerically symmetric: square,
-/// and every entry (i, c) has a mirror (c, i) whose value differs from it
-/// by at most `tolerance`. Runs over row chunks on the OpenMP team with no
-/// transposed copy.
-bool is_symmetric(const CsrMatrix& m, value_t tolerance = 0.0);
+/// and every entry (i, c) has a mirror (c, i) with a == b or |a - b| <=
+/// `tolerance`. A NaN never mirrors anything (not even another NaN); equal
+/// infinities do. The check counts the strict lower and upper triangles,
+/// which must balance, and walks row chunks in parallel: each strict-lower
+/// entry is matched to its mirror through a per-column cursor that only
+/// moves forward, with no search and no transposed copy. A chunk stops at
+/// its first mismatch. `threads` = 0 means omp_get_max_threads(); the
+/// verdict does not depend on it. SymCsrMatrix's builders call this with
+/// tolerance 0.
+bool is_symmetric(const CsrMatrix& m, value_t tolerance = 0.0, int threads = 0);
 
 /// Number of rows with no nonzeros.
 index_t count_empty_rows(const CsrMatrix& m);

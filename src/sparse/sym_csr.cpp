@@ -1,12 +1,12 @@
 #include "sparse/sym_csr.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "check/contract.hpp"
 #include "check/validate.hpp"
 #include "sparse/build.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/properties.hpp"
 
 namespace sparta {
 
@@ -15,49 +15,13 @@ namespace {
 /// Per-chunk classification totals for the parallel count pass.
 struct ChunkTally {
   offset_t lower_nnz = 0;
-  offset_t upper_nnz = 0;
   index_t diag_rows = 0;
 };
-
-/// True iff the stored strict-lower structure holds (row, col) with a
-/// bit-identical value (binary search; columns are sorted within a row).
-bool lower_mirror_matches(std::span<const offset_t> rowptr, std::span<const index_t> colind,
-                          std::span<const value_t> values, index_t row, index_t col,
-                          value_t v) {
-  const auto first = colind.begin() +
-                     static_cast<std::ptrdiff_t>(rowptr[static_cast<std::size_t>(row)]);
-  const auto last = colind.begin() +
-                    static_cast<std::ptrdiff_t>(rowptr[static_cast<std::size_t>(row) + 1]);
-  const auto it = std::lower_bound(first, last, col);
-  if (it == last || *it != col) return false;
-  return values[static_cast<std::size_t>(it - colind.begin())] == v;
-}
-
-/// Mirror verification over rows [begin, end): every upper-triangle entry of
-/// the source must have a bit-equal stored lower mirror. Returns false on
-/// the first violation (the caller throws outside any parallel region).
-bool verify_mirrors(const CsrMatrix& a, const SymCsrMatrix& out, std::size_t begin,
-                    std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto row = static_cast<index_t>(i);
-    const auto cols = a.row_cols(row);
-    const auto vals = a.row_vals(row);
-    for (std::size_t j = 0; j < cols.size(); ++j) {
-      if (cols[j] <= row) continue;
-      if (!lower_mirror_matches(out.rowptr(), out.colind(), out.values(), cols[j], row,
-                                vals[j])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 [[noreturn]] void fail_mirror() {
   throw check::ValidationError{
       "symcsr.source.mirror",
-      "source matrix is not symmetric: an upper-triangle entry has no bit-equal lower "
-      "mirror"};
+      "source matrix is not symmetric: an entry has no equal-valued mirror"};
 }
 
 }  // namespace
@@ -74,8 +38,8 @@ SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
   out.source_nnz_ = a.nnz();
 
   // Count pass: rows classify their entries independently (strict lower /
-  // diagonal / strict upper); fixed row chunks tally each kind. Chunking
-  // never leaks into the output — the scan turns tallies into offsets.
+  // diagonal); fixed row chunks tally each kind. Chunking never leaks into
+  // the output — the scan turns tallies into offsets.
   rec.phase("count");
   const auto n = static_cast<std::size_t>(a.nrows());
   const int nchunks = nthreads;
@@ -91,9 +55,7 @@ SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
       for (const index_t c : a.row_cols(row)) {
         if (c < row) {
           ++t.lower_nnz;
-        } else if (c > row) {
-          ++t.upper_nnz;
-        } else {
+        } else if (c == row) {
           ++t.diag_rows;
         }
       }
@@ -101,20 +63,16 @@ SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
     tally[static_cast<std::size_t>(cidx)] = t;
   }
 
-  // Scan pass: exclusive prefix over the lower tallies -> per-chunk bases;
-  // the upper/lower totals must already balance for a symmetric pattern.
+  // Scan pass: exclusive prefix over the lower tallies -> per-chunk bases.
   rec.phase("scan");
   std::vector<offset_t> base(static_cast<std::size_t>(nchunks));
   offset_t lower_total = 0;
-  offset_t upper_total = 0;
   index_t diag_total = 0;
   for (int cidx = 0; cidx < nchunks; ++cidx) {
     base[static_cast<std::size_t>(cidx)] = lower_total;
     lower_total += tally[static_cast<std::size_t>(cidx)].lower_nnz;
-    upper_total += tally[static_cast<std::size_t>(cidx)].upper_nnz;
     diag_total += tally[static_cast<std::size_t>(cidx)].diag_rows;
   }
-  if (upper_total != lower_total) fail_mirror();
   out.diag_entries_ = diag_total;
 
   // Fill pass: each chunk walks its rows with a running offset seeded from
@@ -156,21 +114,11 @@ SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
     }
   }
 
-  // Verify pass: balanced strict-triangle counts cannot prove symmetry on
-  // their own, so every upper entry is matched against its stored lower
-  // mirror. Chunks record a flag; the throw happens outside the region.
+  // Verify pass: the source must equal its transpose, values compared
+  // with ==, or the lower triangle alone does not represent it
+  // (is_symmetric's cursor walk at tolerance 0, on the same team).
   rec.phase("verify");
-  std::vector<std::uint8_t> chunk_ok(static_cast<std::size_t>(nchunks), 1);
-#pragma omp parallel for default(none) shared(chunk_ok, out, a, n, nchunks) \
-    num_threads(nthreads) schedule(static)
-  for (int cidx = 0; cidx < nchunks; ++cidx) {
-    const auto begin = build::chunk_begin(n, nchunks, cidx);
-    const auto end = build::chunk_begin(n, nchunks, cidx + 1);
-    chunk_ok[static_cast<std::size_t>(cidx)] = verify_mirrors(a, out, begin, end) ? 1 : 0;
-  }
-  for (const std::uint8_t ok : chunk_ok) {
-    if (ok == 0) fail_mirror();
-  }
+  if (!is_symmetric(a, 0.0, nthreads)) fail_mirror();
   rec.finish(out.bytes());
   // Triangle purity, diagonal accounting and mirror-nnz conservation
   // against the source (check/validate.hpp).
@@ -192,7 +140,6 @@ SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
   out.rowptr_[0] = 0;
   out.diag_ = numa_vector<value_t>(n);
   out.diag_present_ = numa_vector<std::uint8_t>(n);
-  offset_t upper_total = 0;
   for (index_t i = 0; i < a.nrows(); ++i) {
     const auto cols = a.row_cols(i);
     const auto vals = a.row_vals(i);
@@ -202,9 +149,7 @@ SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
       if (cols[j] < i) {
         out.colind_.push_back(cols[j]);
         out.values_.push_back(vals[j]);
-      } else if (cols[j] > i) {
-        ++upper_total;
-      } else {
+      } else if (cols[j] == i) {
         d = vals[j];
         present = 1;
         ++out.diag_entries_;
@@ -214,8 +159,7 @@ SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
     out.diag_present_[static_cast<std::size_t>(i)] = present;
     out.rowptr_[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(out.colind_.size());
   }
-  if (upper_total != out.rowptr_.back()) fail_mirror();
-  if (!verify_mirrors(a, out, 0, n)) fail_mirror();
+  if (!is_symmetric(a, 0.0, 1)) fail_mirror();
   SPARTA_CHECK_STRUCTURE(out, a);
   return out;
 }

@@ -21,8 +21,9 @@
 // Built from a general CSR via the established two-pass parallel
 // count/scan/fill pipeline (DESIGN.md §13) with a serial reference twin;
 // the output is bit-identical for every thread count. Both builders verify
-// the source is square and pattern+value symmetric (every upper entry must
-// have a bit-equal lower mirror) and throw check::ValidationError otherwise.
+// the source is square and pattern+value symmetric (is_symmetric at
+// tolerance 0: every mirror pair compares equal, so a NaN off the diagonal
+// is rejected) and throw check::ValidationError otherwise.
 #pragma once
 
 #include <cstdint>

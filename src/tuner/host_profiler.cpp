@@ -22,16 +22,14 @@ double gflops(const CsrMatrix& m, double seconds) {
   return seconds > 0.0 ? 2.0 * static_cast<double>(m.nnz()) / seconds * 1e-9 : 0.0;
 }
 
-/// Best-of-iterations wall time of a callable.
+/// Mean wall time of one call over `iterations` calls after one warm-up
+/// call: the statistic time_csr_parts reports.
 template <class Fn>
-double time_kernel(Fn&& fn, int iterations) {
-  double best = 1e30;
-  for (int i = 0; i < iterations; ++i) {
-    Timer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
+double mean_seconds(Fn&& fn, int iterations) {
+  fn();
+  Timer t;
+  for (int i = 0; i < iterations; ++i) fn();
+  return t.seconds() / iterations;
 }
 
 }  // namespace
@@ -63,13 +61,13 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
   // P_ML: the same kernel on the regularized-colind view.
   const auto reg_colind = kernels::regularized_colind(m);
   const kernels::CsrView regularized{m.rowptr(), reg_colind, m.values(), m.nrows()};
-  b.p_ml = gflops(m, time_kernel(
-                         [&] { kernels::time_csr_parts(regularized, x, y, parts, 1); },
-                         options.iterations));
+  kernels::time_csr_parts(regularized, x, y, parts, 1);
+  b.p_ml = gflops(m, kernels::time_csr_parts(regularized, x, y, parts, options.iterations)
+                         .seconds);
 
   // P_CMP: the unit-stride kernel.
-  b.p_cmp = gflops(m, time_kernel([&] { kernels::spmv_unit_stride(m, x, y, parts); },
-                                  options.iterations));
+  b.p_cmp = gflops(m, mean_seconds([&] { kernels::spmv_unit_stride(m, x, y, parts); },
+                                   options.iterations));
 
   // P_MB / P_peak from the measured STREAM bandwidth.
   StreamResult probe;
@@ -121,9 +119,7 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     const obs::ScopedPhase phase{phases, "measure"};
     aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
     aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-    prepared->run(x, y);  // warm-up
-    plan.t_spmv_seconds =
-        time_kernel([&] { prepared->run(x, y); }, options.iterations);
+    plan.t_spmv_seconds = mean_seconds([&] { prepared->run(x, y); }, options.iterations);
   }
   plan.gflops = plan.t_spmv_seconds > 0.0
                     ? 2.0 * static_cast<double>(m.nnz()) / plan.t_spmv_seconds * 1e-9

@@ -7,7 +7,11 @@
 //   P_ML          — the same timed kernel on a regularized-colind view
 //   P_CMP         — timed run of the unit-stride kernel
 //   P_MB / P_peak — analytic, anchored on the measured STREAM bandwidth
-// classify_profile() then consumes the measured bounds unchanged.
+// Every timed figure (the four bounds and tune_host's t_spmv) is the mean
+// wall time of one call over `iterations` calls after one warm-up call, so
+// the ratios classify_profile() compares (P_ML/P_CSR, P_CMP/P_CSR,
+// P_IMB/P_CSR) divide like by like. classify_profile() then consumes the
+// measured bounds unchanged.
 #pragma once
 
 #include "machine/stream_probe.hpp"

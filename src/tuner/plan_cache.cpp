@@ -1,6 +1,8 @@
 #include "tuner/plan_cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -10,15 +12,62 @@ namespace sparta::tuner {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+// xxHash64 primes.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
 
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
+template <class Word>
+Word load(const unsigned char* p) {
+  Word w;
+  std::memcpy(&w, p, sizeof(Word));
+  return w;
+}
+
+/// One lane step: multiplying by P2 first spreads every bit of the word
+/// over the upper lane bits, and the rotate carries them back down.
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t w) {
+  return std::rotl(acc + w * kP2, 31) * kP1;
+}
+
+/// Hash of `n` bytes from `seed` (the xxHash64 layout): four independent
+/// lanes take the 8-byte words of each 32-byte stripe, so the multiplies
+/// overlap instead of forming one latency chain; the finalizer folds in the
+/// lanes, the tail bytes and the length.
+std::uint64_t hash_bytes(const void* data, std::size_t n, std::uint64_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
+  const unsigned char* const end = p + n;
+  std::uint64_t h = seed + kP5;
+  if (n >= 32) {
+    std::uint64_t v0 = seed + kP1 + kP2;
+    std::uint64_t v1 = seed + kP2;
+    std::uint64_t v2 = seed;
+    std::uint64_t v3 = seed - kP1;
+    for (; end - p >= 32; p += 32) {
+      v0 = lane_round(v0, load<std::uint64_t>(p));
+      v1 = lane_round(v1, load<std::uint64_t>(p + 8));
+      v2 = lane_round(v2, load<std::uint64_t>(p + 16));
+      v3 = lane_round(v3, load<std::uint64_t>(p + 24));
+    }
+    h = std::rotl(v0, 1) + std::rotl(v1, 7) + std::rotl(v2, 12) + std::rotl(v3, 18);
+    for (const std::uint64_t v : {v0, v1, v2, v3}) h = (h ^ lane_round(0, v)) * kP1 + kP4;
   }
+  h += n;
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ lane_round(0, load<std::uint64_t>(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (load<std::uint32_t>(p) * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -26,7 +75,7 @@ template <class T>
 std::uint64_t hash_chunk(std::span<const T> s, int nchunks, int c, std::uint64_t h) {
   const auto b = build::chunk_begin(s.size(), nchunks, c);
   const auto e = build::chunk_begin(s.size(), nchunks, c + 1);
-  return fnv1a(s.data() + b, (e - b) * sizeof(T), h);
+  return hash_bytes(s.data() + b, (e - b) * sizeof(T), h);
 }
 
 }  // namespace
@@ -45,17 +94,13 @@ Fingerprint fingerprint(const CsrMatrix& m, int threads) {
     shared(chunk_hash, rowptr, colind, values, nchunks) num_threads(nthreads) \
     schedule(static)
   for (int c = 0; c < nchunks; ++c) {
-    std::uint64_t h = kFnvOffset;
-    h = hash_chunk(rowptr, nchunks, c, h);
+    std::uint64_t h = hash_chunk(rowptr, nchunks, c, 0);
     h = hash_chunk(colind, nchunks, c, h);
     h = hash_chunk(values, nchunks, c, h);
     chunk_hash[static_cast<std::size_t>(c)] = h;
   }
-  std::uint64_t h = kFnvOffset;
-  for (const std::uint64_t ch : chunk_hash) {
-    h ^= ch;
-    h *= kFnvPrime;
-  }
+  const std::uint64_t h =
+      hash_bytes(chunk_hash.data(), chunk_hash.size() * sizeof(std::uint64_t), 0);
   return Fingerprint{h, m.nrows(), m.ncols(), m.nnz()};
 }
 

@@ -8,9 +8,13 @@
 //   Fingerprint = { 64-bit content hash over rowptr/colind/values,
 //                   nrows, ncols, nnz }
 //
-// computed by a deterministic chunked parallel FNV-1a pass (chunk count is
-// a function of nnz only, chunk hashes combine in chunk order — the same
-// value for every thread count).
+// computed by a deterministic chunked parallel pass. Each chunk hashes its
+// slice of the three arrays with a four-lane word hash (the xxHash64 round
+// acc = rotl(acc + w * P2, 31) * P1 over 8-byte words, then a finalizer over
+// the lanes, the tail bytes and the length), so the pass streams at memory
+// speed rather than waiting on one multiply chain. The chunk count is a
+// function of nnz only and the chunk hashes are hashed again in chunk order,
+// so the value is the same for every thread count.
 //
 // Invalidation rules: a prepared-kernel entry additionally keys on the
 // matrix object address and the addresses of all three CSR arrays, because

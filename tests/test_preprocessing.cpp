@@ -5,7 +5,9 @@
 // must follow its documented hit/miss/invalidation rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -200,12 +202,15 @@ TEST(BuilderAgreement, PartitionersMatchAcrossThreadCounts) {
 // --- Fingerprint + plan cache ----------------------------------------------
 
 TEST(FingerprintTest, DeterministicAcrossThreadCounts) {
-  for (const CsrMatrix& m : suite()) {
+  std::vector<CsrMatrix> mats = suite();
+  mats.push_back(gen::banded(40000, 24, 12, 45));  // several hash chunks
+  ASSERT_GT(mats.back().nnz(), 4 * 65536);
+  for (const CsrMatrix& m : mats) {
     const tuner::Fingerprint ref = tuner::fingerprint(m, 1);
     EXPECT_EQ(ref.nrows, m.nrows());
     EXPECT_EQ(ref.ncols, m.ncols());
     EXPECT_EQ(ref.nnz, m.nnz());
-    for (const int t : kThreadCounts) EXPECT_EQ(tuner::fingerprint(m, t), ref);
+    for (const int t : {2, 3, 4, 8}) EXPECT_EQ(tuner::fingerprint(m, t), ref);
   }
 }
 
@@ -216,6 +221,94 @@ TEST(FingerprintTest, DistinguishesContent) {
   EXPECT_NE(tuner::fingerprint(a), before);
   const CsrMatrix b = gen::banded(200, 6, 4, 47);  // same shape, other values
   EXPECT_NE(tuner::fingerprint(b), before);
+}
+
+TEST(FingerprintTest, SignFlipsInOneLaneDoNotCancel) {
+  // Words 32 bytes apart feed the same hash lane.
+  CsrMatrix m = gen::banded(200, 6, 4, 48);
+  const std::uint64_t before = tuner::fingerprint(m).hash;
+  const auto v = m.values_mut();
+  for (const std::size_t j : {0, 1, 5, 17}) {
+    for (const std::size_t stride : {4, 8}) {
+      v[j] = -v[j];
+      v[j + stride] = -v[j + stride];
+      EXPECT_NE(tuner::fingerprint(m).hash, before) << j << " and " << j + stride;
+      v[j] = -v[j];
+      v[j + stride] = -v[j + stride];
+    }
+  }
+  EXPECT_EQ(tuner::fingerprint(m).hash, before);
+}
+
+TEST(FingerprintTest, SwappedValuesChangeTheHash) {
+  CsrMatrix m = gen::banded(200, 6, 4, 49);
+  const std::uint64_t before = tuner::fingerprint(m).hash;
+  const auto v = m.values_mut();
+  for (const auto& [i, j] : {std::pair<std::size_t, std::size_t>{0, 1}, {0, 4}, {3, 40}}) {
+    ASSERT_NE(v[i], v[j]);
+    std::swap(v[i], v[j]);
+    EXPECT_NE(tuner::fingerprint(m).hash, before) << i << " <-> " << j;
+    std::swap(v[i], v[j]);
+  }
+}
+
+/// Every byte the fingerprint reads, in hash order: rowptr, colind, values.
+/// The matrix owns its arrays and is not const, so flipping a bit through
+/// the read-only views is defined; the fingerprint never validates.
+std::vector<std::span<unsigned char>> storage_bytes(CsrMatrix& m) {
+  const auto bytes_of = [](auto s) {
+    return std::span<unsigned char>{
+        reinterpret_cast<unsigned char*>(const_cast<void*>(static_cast<const void*>(s.data()))),
+        s.size_bytes()};
+  };
+  return {bytes_of(m.rowptr()), bytes_of(m.colind()), bytes_of(m.values())};
+}
+
+TEST(FingerprintTest, EveryTailBitCounts) {
+  // 6 rows and 13 or 11 nonzeros: 56-byte rowptr, 52/44-byte colind,
+  // 104/88-byte values, none a multiple of the 32-byte stripe.
+  for (const offset_t nnz : {13, 11}) {
+    numa_vector<offset_t> rowptr{0, 2, 4, 6, 8, 10, nnz};
+    numa_vector<index_t> colind;
+    numa_vector<value_t> values;
+    for (offset_t k = 0; k < nnz; ++k) {
+      const auto row = static_cast<index_t>(std::min<offset_t>(k / 2, 5));
+      colind.push_back(static_cast<index_t>(k - 2 * row));
+      values.push_back(0.25 * static_cast<double>(k + 1));
+    }
+    CsrMatrix m{6, 8, std::move(rowptr), std::move(colind), std::move(values)};
+    const std::uint64_t before = tuner::fingerprint(m).hash;
+    for (const auto bytes : storage_bytes(m)) {
+      ASSERT_NE(bytes.size() % 32, 0u);
+      for (std::size_t b = bytes.size() - bytes.size() % 32; b < bytes.size(); ++b) {
+        for (int bit = 0; bit < 8; ++bit) {
+          bytes[b] ^= static_cast<unsigned char>(1u << bit);
+          EXPECT_NE(tuner::fingerprint(m).hash, before) << "byte " << b << " bit " << bit;
+          bytes[b] ^= static_cast<unsigned char>(1u << bit);
+        }
+      }
+    }
+    EXPECT_EQ(tuner::fingerprint(m).hash, before);
+  }
+}
+
+TEST(FingerprintTest, EverySingleBitFlipIsDistinct) {
+  CsrMatrix m = gen::banded(24, 3, 3, 50);
+  const std::uint64_t before = tuner::fingerprint(m).hash;
+  std::set<std::uint64_t> seen{before};
+  std::size_t flips = 0;
+  for (const auto bytes : storage_bytes(m)) {
+    for (std::size_t b = 0; b < bytes.size(); ++b) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[b] ^= static_cast<unsigned char>(1u << bit);
+        seen.insert(tuner::fingerprint(m).hash);
+        bytes[b] ^= static_cast<unsigned char>(1u << bit);
+        ++flips;
+      }
+    }
+  }
+  EXPECT_EQ(tuner::fingerprint(m).hash, before);
+  EXPECT_EQ(seen.size(), flips + 1);  // every flip differs from the original and the others
 }
 
 TEST(PlanCacheTest, TuneHitsOnSameMatrix) {

@@ -4,15 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "check/validate.hpp"
 #include "features/features.hpp"
 #include "gen/generators.hpp"
+#include "gen/suite.hpp"
+#include "machine/machine_spec.hpp"
 #include "sparse/properties.hpp"
+#include "sparse/sym_csr.hpp"
 #include "team_size.hpp"
+#include "tuner/optimizer.hpp"
 
 namespace sparta {
 namespace {
@@ -101,16 +109,30 @@ TEST(Properties, RectangularNeverSymmetric) {
 
 // --- is_symmetric against a transpose oracle --------------------------------
 
-/// The transpose-and-compare definition is_symmetric must agree with.
+/// The definition is_symmetric must agree with, by brute force: transpose
+/// through COO and compare every array. Diagonal values are their own
+/// mirrors; an off-diagonal pair mirrors when a == b or |a - b| <= tol.
 bool symmetric_by_transpose(const CsrMatrix& m, value_t tolerance) {
   if (m.nrows() != m.ncols()) return false;
-  const CsrMatrix t = m.transpose();
-  if (!std::equal(m.rowptr().begin(), m.rowptr().end(), t.rowptr().begin(), t.rowptr().end())) {
+  CooMatrix coo{m.ncols(), m.nrows()};
+  for (index_t i = 0; i < m.nrows(); ++i) {
+    const auto cols = m.row_cols(i);
+    const auto vals = m.row_vals(i);
+    for (std::size_t j = 0; j < cols.size(); ++j) coo.add(cols[j], i, vals[j]);
+  }
+  const CsrMatrix t = CsrMatrix::from_coo(coo, 1);
+  if (!std::equal(m.rowptr().begin(), m.rowptr().end(), t.rowptr().begin(), t.rowptr().end()) ||
+      !std::equal(m.colind().begin(), m.colind().end(), t.colind().begin(), t.colind().end())) {
     return false;
   }
-  for (std::size_t j = 0; j < m.colind().size(); ++j) {
-    if (m.colind()[j] != t.colind()[j]) return false;
-    if (std::abs(m.values()[j] - t.values()[j]) > tolerance) return false;
+  for (index_t i = 0; i < m.nrows(); ++i) {
+    const auto cols = m.row_cols(i);
+    const auto a = m.row_vals(i);
+    const auto b = t.row_vals(i);
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+      if (cols[j] == i) continue;
+      if (!(a[j] == b[j] || std::abs(a[j] - b[j]) <= tolerance)) return false;
+    }
   }
   return true;
 }
@@ -152,10 +174,23 @@ std::vector<CsrMatrix> family_matrices(std::uint64_t seed) {
 
 void expect_matches_oracle(const CsrMatrix& m, value_t tolerance, const std::string& what) {
   const bool want = symmetric_by_transpose(m, tolerance);
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 2, 3, 4}) {
+    EXPECT_EQ(is_symmetric(m, tolerance, threads), want) << what << " @" << threads;
     const TeamSize team{threads};
-    EXPECT_EQ(is_symmetric(m, tolerance), want) << what << " @" << threads;
+    EXPECT_EQ(is_symmetric(m, tolerance), want) << what << " @team " << threads;
   }
+}
+
+/// A crafted asymmetric case: the oracle and is_symmetric (tolerance 0, at
+/// 1-4 threads) say no, and both SymCsr builders throw.
+void expect_asymmetric(const CsrMatrix& m, const std::string& what) {
+  ASSERT_FALSE(symmetric_by_transpose(m, 0.0)) << what;
+  expect_matches_oracle(m, 0.0, what);
+  for (const int threads : {1, 2, 3, 4}) {
+    EXPECT_THROW(SymCsrMatrix::build(m, threads), check::ValidationError)
+        << what << " @" << threads;
+  }
+  EXPECT_THROW(SymCsrMatrix::build_serial(m), check::ValidationError) << what;
 }
 
 TEST(Properties, SymmetryMatchesTransposeOnGeneratorFamilies) {
@@ -225,6 +260,149 @@ TEST(Properties, SymmetryWithEmptyRows) {
   EXPECT_FALSE(is_symmetric(broken));
 }
 
+TEST(Properties, SymmetryMatchesTransposeOnSuite) {
+  for (const auto& nm : gen::make_suite()) {
+    expect_matches_oracle(nm.matrix, 0.0, nm.name);
+    // A + A^T is symmetric by construction, so every chunk walks to its end.
+    const CsrMatrix sym = symmetrized(nm.matrix);
+    for (const int threads : {1, 2, 3, 4}) {
+      EXPECT_TRUE(is_symmetric(sym, 0.0, threads)) << nm.name << " @" << threads;
+    }
+  }
+}
+
+/// Symmetric 40 x 40 band (width 3) with distinct values per pair, so a
+/// value edit breaks exactly one pair.
+std::vector<Triplet> band40() {
+  std::vector<Triplet> entries;
+  for (index_t i = 0; i < 40; ++i) {
+    entries.push_back({i, i, 4.0 + i});
+    for (index_t d = 1; d <= 3 && i + d < 40; ++d) {
+      const value_t v = -1.0 - 0.01 * i - 0.1 * d;
+      entries.push_back({i, i + d, v});
+      entries.push_back({i + d, i, v});
+    }
+  }
+  return entries;
+}
+
+value_t& value_at(std::vector<Triplet>& entries, index_t row, index_t col) {
+  const auto it = std::find_if(entries.begin(), entries.end(), [&](const Triplet& t) {
+    return t.row == row && t.col == col;
+  });
+  EXPECT_NE(it, entries.end());
+  return it->value;
+}
+
+TEST(Properties, SymmetryCraftedCases) {
+  ASSERT_TRUE(is_symmetric(from_triplets(40, 40, band40())));
+  {
+    // Balanced triangle counts, mismatched pattern: (0, 2) moves to (0, 5).
+    auto entries = band40();
+    for (Triplet& t : entries) {
+      if (t.row == 0 && t.col == 2) t.col = 5;
+    }
+    expect_asymmetric(from_triplets(40, 40, std::move(entries)), "balanced counts");
+  }
+  for (const auto& [row, col] : {std::pair{0, 1}, std::pair{1, 0}, std::pair{39, 38},
+                                 std::pair{38, 39}}) {
+    // Value asymmetry in the first and in the last row.
+    auto entries = band40();
+    value_at(entries, row, col) += 0.5;
+    expect_asymmetric(from_triplets(40, 40, std::move(entries)),
+                      "value (" + std::to_string(row) + ", " + std::to_string(col) + ")");
+  }
+  for (const auto& [row, col] : {std::pair{0, 20}, std::pair{39, 0}}) {
+    // Pattern asymmetry in the first and in the last row.
+    auto entries = band40();
+    entries.push_back({row, col, 1.0});
+    expect_asymmetric(from_triplets(40, 40, std::move(entries)),
+                      "one-sided (" + std::to_string(row) + ", " + std::to_string(col) + ")");
+  }
+  {
+    // At 2-4 threads row 35 and its mirror's row 2 lie in different chunks.
+    auto entries = band40();
+    entries.push_back({35, 2, 3.0});
+    entries.push_back({2, 35, 3.0});
+    const CsrMatrix far = from_triplets(40, 40, entries);
+    expect_matches_oracle(far, 0.0, "cross-chunk mirror");
+    EXPECT_TRUE(is_symmetric(far, 0.0, 4));
+    value_at(entries, 35, 2) = 3.5;
+    expect_asymmetric(from_triplets(40, 40, std::move(entries)), "cross-chunk value");
+  }
+  {
+    // Off-diagonal values just inside and just outside the tolerance.
+    auto entries = band40();
+    value_at(entries, 17, 20) = 1.0;
+    value_at(entries, 20, 17) = 1.0 + 0x1p-20;
+    const CsrMatrix skewed = from_triplets(40, 40, std::move(entries));
+    const value_t gap = 0x1p-20;
+    const value_t below = std::nextafter(gap, 0.0);
+    expect_matches_oracle(skewed, gap, "tolerance at the gap");
+    expect_matches_oracle(skewed, below, "tolerance below the gap");
+    EXPECT_TRUE(is_symmetric(skewed, gap));
+    EXPECT_FALSE(is_symmetric(skewed, below));
+    expect_asymmetric(skewed, "value gap");
+  }
+}
+
+TEST(Properties, SymmetryEdgeShapes) {
+  const CsrMatrix one = from_triplets(1, 1, {{0, 0, 2.0}});
+  expect_matches_oracle(one, 0.0, "1x1");
+  EXPECT_TRUE(is_symmetric(one));
+  const CsrMatrix one_empty = from_triplets(1, 1, {});
+  expect_matches_oracle(one_empty, 0.0, "empty 1x1");
+  EXPECT_TRUE(is_symmetric(one_empty));
+  const CsrMatrix tall = from_triplets(4, 3, {{0, 1, 1.0}, {1, 0, 1.0}});
+  expect_matches_oracle(tall, 0.0, "tall");
+  EXPECT_FALSE(is_symmetric(tall));
+  EXPECT_THROW(SymCsrMatrix::build(tall), check::ValidationError);
+  // Rows 1-38 empty; the only pair links the first and the last row.
+  const CsrMatrix corners = from_triplets(40, 40, {{0, 39, 1.0}, {39, 0, 1.0}});
+  expect_matches_oracle(corners, 0.0, "empty rows between a pair");
+  EXPECT_TRUE(is_symmetric(corners, 0.0, 4));
+  expect_asymmetric(from_triplets(40, 40, {{0, 39, 1.0}, {39, 0, -1.0}}),
+                    "empty rows, unequal pair");
+}
+
+/// 3 x 3 with an off-diagonal pair (0, 2) / (2, 0) of value v.
+CsrMatrix corner_pair(value_t v) {
+  return from_triplets(3, 3, {{0, 0, 4.0}, {0, 2, v}, {1, 1, 4.0}, {2, 0, v}, {2, 2, 4.0}});
+}
+
+TEST(Properties, NanMirrorPairIsNotSymmetric) {
+  const CsrMatrix nan_pair = corner_pair(std::numeric_limits<value_t>::quiet_NaN());
+  for (const int threads : {1, 2, 3, 4}) {
+    EXPECT_FALSE(is_symmetric(nan_pair, 0.0, threads)) << threads;
+    EXPECT_FALSE(is_symmetric(nan_pair, 1e300, threads)) << threads;
+  }
+  EXPECT_FALSE(symmetric_by_transpose(nan_pair, 0.0));
+  try {
+    SymCsrMatrix::build(nan_pair);
+    ADD_FAILURE() << "build accepted a NaN mirror pair";
+  } catch (const check::ValidationError& e) {
+    EXPECT_EQ(e.violation(), "symcsr.source.mirror");
+  }
+  EXPECT_THROW(SymCsrMatrix::build_serial(nan_pair), check::ValidationError);
+
+  // The tuner's symmetric-storage rider follows the verdict.
+  const Autotuner tuner{knc()};
+  EXPECT_TRUE(tuner.tune(corner_pair(-1.0)).config.symmetric);
+  EXPECT_FALSE(tuner.tune(nan_pair).config.symmetric);
+
+  // Equal infinities mirror each other; opposite ones do not.
+  const value_t inf = std::numeric_limits<value_t>::infinity();
+  EXPECT_TRUE(is_symmetric(corner_pair(inf)));
+  EXPECT_TRUE(is_symmetric(corner_pair(-inf), 1.0));
+  EXPECT_NO_THROW(SymCsrMatrix::build(corner_pair(inf)));
+  const CsrMatrix opposite =
+      from_triplets(3, 3, {{0, 0, 4.0}, {0, 2, inf}, {1, 1, 4.0}, {2, 0, -inf}, {2, 2, 4.0}});
+  EXPECT_FALSE(is_symmetric(opposite, 1e300));
+  // A NaN on the diagonal is its own mirror and is not compared.
+  EXPECT_TRUE(is_symmetric(
+      from_triplets(2, 2, {{0, 0, std::numeric_limits<value_t>::quiet_NaN()}, {1, 1, 1.0}})));
+}
+
 TEST(Properties, EmptyRowCount) {
   EXPECT_EQ(count_empty_rows(crafted()), 1);
   EXPECT_EQ(count_empty_rows(gen::diagonal(5)), 0);
@@ -288,6 +466,27 @@ TEST(Features, MissesHigherForScatteredMatrix) {
   const auto band = extract_features(gen::banded(1000, 12, 8, 57));
   const auto rand = extract_features(gen::random_uniform(1000, 8, 58));
   EXPECT_LT(band[Feature::kMissesAvg], rand[Feature::kMissesAvg]);
+}
+
+TEST(Features, BitwiseEqualAcrossThreadCounts) {
+  auto mats = family_matrices(3);
+  for (auto& nm : gen::make_suite()) mats.push_back(std::move(nm.matrix));
+  for (const CsrMatrix& m : mats) {
+    const auto features_at = [&](int threads) {
+      const TeamSize team{threads};
+      return extract_features(m);
+    };
+    const FeatureVector ref = features_at(1);
+    for (const int threads : {2, 4}) {
+      const FeatureVector fv = features_at(threads);
+      for (int f = 0; f < kNumFeatures; ++f) {
+        const auto idx = static_cast<std::size_t>(f);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fv.v[idx]),
+                  std::bit_cast<std::uint64_t>(ref.v[idx]))
+            << feature_name(static_cast<Feature>(f)) << " @" << threads;
+      }
+    }
+  }
 }
 
 TEST(Features, NamesAreUnique) {
