@@ -15,7 +15,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "tuner/host_profiler.hpp"
+#include "tuner/optimizer.hpp"
 
 namespace {
 
@@ -58,7 +58,11 @@ int main(int argc, char** argv) {
   header.emplace_back("best");
   Table table{header};
 
-  StreamResult probe = stream_triad_probe(3);
+  // One STREAM probe for the whole run: the host spec carries it into every
+  // matrix's P_MB/P_peak.
+  MachineSpec host = host_machine(true);
+  host.cores = threads;
+  const Autotuner tuner{host, {}, CostModelParams{.timing_iters = iterations}};
   for (const auto& name : picks) {
     const CsrMatrix m = gen::make_suite_matrix(name);
     std::vector<std::string> row{name};
@@ -70,11 +74,7 @@ int main(int argc, char** argv) {
       best = std::max(best, g);
       row.push_back(Table::num(g));
     }
-    HostProfileOptions opts;
-    opts.threads = threads;
-    opts.iterations = iterations;
-    opts.stream = &probe;
-    const auto plan = tune_host(m, opts);
+    const auto plan = tuner.tune(m, {.policy = TunePolicy::kHostProfile});
     best = std::max(best, plan.gflops);
     row.push_back(Table::num(plan.gflops) + " " + to_string(plan.classes));
     row.push_back(Table::num(best));

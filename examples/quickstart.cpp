@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
             << "selected optimizations:  " << to_string(plan.optimizations) << "\n"
             << "kernel variant:          " << plan.config.describe() << "\n"
             << "expected rate:           " << Table::num(plan.gflops) << " GFLOP/s (vs "
-            << Table::num(plan.gflops > 0 ? tuner.simulate_gflops(matrix, sim::KernelConfig{})
-                                          : 0.0)
+            << Table::num(plan.gflops > 0
+                              ? sim::simulate_spmv(matrix, target, sim::KernelConfig{}).run.gflops
+                              : 0.0)
             << " baseline)\n";
 
   // 4. Prepare the real host kernel for the selected variant and run it.

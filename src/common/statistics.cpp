@@ -12,9 +12,10 @@ double mean(std::span<const double> xs) {
   return acc / static_cast<double>(xs.size());
 }
 
-double stddev(std::span<const double> xs) {
+double stddev(std::span<const double> xs) { return stddev(xs, mean(xs)); }
+
+double stddev(std::span<const double> xs, double mu) {
   if (xs.empty()) return 0.0;
-  const double mu = mean(xs);
   double acc = 0.0;
   for (double x : xs) acc += (x - mu) * (x - mu);
   return std::sqrt(acc / static_cast<double>(xs.size()));

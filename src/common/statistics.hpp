@@ -14,6 +14,8 @@ double mean(std::span<const double> xs);
 
 /// Population standard deviation (the paper's features divide by N, not N-1).
 double stddev(std::span<const double> xs);
+/// The same around a `mean` already computed as mean(xs) computes it.
+double stddev(std::span<const double> xs, double mean);
 
 /// Median (average of the two middle elements for even sizes).
 /// Does not modify the input.

@@ -24,4 +24,14 @@ class Timer {
   clock::time_point start_;
 };
 
+/// Mean wall time of one fn() call over `iterations` calls after one
+/// warm-up call: the statistic of every host tuning measurement.
+template <class Fn>
+double mean_seconds(Fn&& fn, int iterations) {
+  fn();
+  const Timer t;
+  for (int i = 0; i < iterations; ++i) fn();
+  return t.seconds() / iterations;
+}
+
 }  // namespace sparta

@@ -1,9 +1,37 @@
 #include "features/features.hpp"
 
+#include <span>
+
 #include "common/statistics.hpp"
 #include "sparse/properties.hpp"
 
 namespace sparta {
+
+namespace {
+
+struct Summary {
+  double min = 0.0;
+  double max = 0.0;
+  double mean = 0.0;
+};
+
+/// min, max and mean of one scan array in a single in-order pass, bitwise
+/// equal to stats::min/max/mean (all 0 for an empty range).
+Summary summarize(std::span<const double> xs) {
+  Summary s;
+  if (xs.empty()) return s;
+  s.min = s.max = xs.front();
+  double sum = 0.0;
+  for (const double x : xs) {
+    if (x < s.min) s.min = x;
+    if (s.max < x) s.max = x;
+    sum += x;
+  }
+  s.mean = sum / static_cast<double>(xs.size());
+  return s;
+}
+
+}  // namespace
 
 std::string_view feature_name(Feature f) {
   switch (f) {
@@ -34,18 +62,22 @@ FeatureVector extract_features(const CsrMatrix& m, const FeatureExtractionConfig
   const double n = static_cast<double>(m.nrows());
   fv[Feature::kDensity] = n > 0.0 ? static_cast<double>(m.nnz()) / (n * n) : 0.0;
 
-  fv[Feature::kNnzMin] = stats::min(scan.nnz);
-  fv[Feature::kNnzMax] = stats::max(scan.nnz);
-  fv[Feature::kNnzAvg] = stats::mean(scan.nnz);
-  fv[Feature::kNnzSd] = stats::stddev(scan.nnz);
+  // Eight in-order passes over the scan arrays: one per array for min, max
+  // and mean, plus a deviation pass reusing that mean for nnz, bw, scatter.
+  const Summary nnz = summarize(scan.nnz);
+  fv[Feature::kNnzMin] = nnz.min;
+  fv[Feature::kNnzMax] = nnz.max;
+  fv[Feature::kNnzAvg] = nnz.mean;
+  fv[Feature::kNnzSd] = stats::stddev(scan.nnz, nnz.mean);
 
-  fv[Feature::kBwMin] = stats::min(scan.bandwidth);
-  fv[Feature::kBwMax] = stats::max(scan.bandwidth);
-  fv[Feature::kBwAvg] = stats::mean(scan.bandwidth);
-  fv[Feature::kBwSd] = stats::stddev(scan.bandwidth);
+  const Summary bw = summarize(scan.bandwidth);
+  fv[Feature::kBwMin] = bw.min;
+  fv[Feature::kBwMax] = bw.max;
+  fv[Feature::kBwAvg] = bw.mean;
+  fv[Feature::kBwSd] = stats::stddev(scan.bandwidth, bw.mean);
 
   fv[Feature::kScatterAvg] = stats::mean(scan.scatter);
-  fv[Feature::kScatterSd] = stats::stddev(scan.scatter);
+  fv[Feature::kScatterSd] = stats::stddev(scan.scatter, fv[Feature::kScatterAvg]);
   fv[Feature::kClusteringAvg] = stats::mean(scan.clustering);
   fv[Feature::kMissesAvg] = stats::mean(scan.misses);
   return fv;

@@ -39,7 +39,6 @@
 #include "sparse/csr.hpp"           // IWYU pragma: export
 #include "sparse/matrix_market.hpp" // IWYU pragma: export
 #include "tuner/grid_search.hpp"    // IWYU pragma: export
-#include "tuner/host_profiler.hpp"  // IWYU pragma: export
 #include "tuner/optimizer.hpp"      // IWYU pragma: export
 #include "tuner/plan_cache.hpp"     // IWYU pragma: export
 #include "tuner/partitioned_bounds.hpp"  // IWYU pragma: export

@@ -9,9 +9,13 @@
 //   oracle          — perfect optimizer: best of the 15 candidate sets
 //   trivial         — run every candidate (5 singles, or all 15) and keep
 //                     the best; pays for every trial (paper Table V)
+//   profile-host    — the profile-guided pipeline measured on this machine:
+//                     the bounds run as real kernels (measure_bounds_host),
+//                     and the shipped kernel is prepared and timed
 // Every plan carries both the optimized SpMV time and the preprocessing
 // cost t_pre charged by the amortization analysis
-//   N_iters,min = t_pre / (t_vendor - t_optimizer)        (paper §IV-D).
+//   N_iters,min = t_pre / (t_vendor - t_optimizer)        (paper §IV-D),
+// modeled on the simulated platform, or measured for profile-host.
 // When trace collection is on (TuneOptions::collect_trace, defaulting to
 // obs::enabled()), the plan additionally carries an obs::TuneTrace — the
 // full decision record (features, bound ratios, classes, per-phase cost).
@@ -124,12 +128,13 @@ enum class TunePolicy {
   kOracle,           // best of the 15 candidate sets, zero charged overhead
   kTrivialSingle,    // sweep the 5 single-optimization sets, pay every trial
   kTrivialCombined,  // sweep all 15 candidate sets, pay every trial
+  kHostProfile,      // kProfile with bounds and the shipped kernel timed on this host
 };
 
 /// The strategy string a policy produces ("profile", "feature", ...).
 std::string to_string(TunePolicy policy);
 
-// Trace payload helpers (shared by the modeled and host tuning paths).
+// Trace payload helpers.
 std::vector<obs::NamedValue> named_features(const FeatureVector& fv);
 std::vector<obs::NamedValue> named_bounds(const PerfBounds& b);
 std::vector<std::string> named_classes(BottleneckSet s);
@@ -189,15 +194,18 @@ class Autotuner {
   [[nodiscard]] Evaluation evaluate(const std::string& name, const CsrMatrix& m) const;
 
   // --- The unified entry points -------------------------------------------
-  /// Equals plan(evaluate(m), opts), bit for bit. The profile and feature
-  /// policies simulate only what their plan reads: the bounds, then the one
-  /// config the classes select (nothing more when that is the baseline).
+  /// Equals plan(evaluate(m), opts), bit for bit, for every modeled policy.
+  /// The profile and feature policies simulate only what their plan reads:
+  /// the bounds, then the one config the classes select (nothing more when
+  /// that is the baseline). kHostProfile measures instead: the bounds on
+  /// this host with machine().cores threads and cost_model().timing_iters
+  /// iterations, then the shipped config (after the symmetric rider) is
+  /// prepared and timed with the same statistic. Its t_pre is the wall time
+  /// of the bounds, features and prepare phases.
   [[nodiscard]] OptimizationPlan tune(const CsrMatrix& m, const TuneOptions& opts = {}) const;
-  /// Plan from a precomputed evaluation (pure lookups).
+  /// Plan from a precomputed evaluation (pure lookups). Throws
+  /// std::invalid_argument for kHostProfile: a host plan is measured.
   [[nodiscard]] OptimizationPlan plan(const Evaluation& e, const TuneOptions& opts = {}) const;
-
-  /// Simulate one configuration directly.
-  [[nodiscard]] double simulate_gflops(const CsrMatrix& m, const sim::KernelConfig& cfg) const;
 
   /// Build a labeled training sample (features + profile-guided labels).
   [[nodiscard]] TrainingSample label(const CsrMatrix& m) const;
@@ -212,9 +220,16 @@ class Autotuner {
 
  private:
   /// The step every evaluation starts with: symmetry, the bound
-  /// micro-benchmarks ("bounds" phase, which rate the baseline) and the
-  /// structural features ("features" phase).
-  [[nodiscard]] Evaluation measure(const std::string& name, const CsrMatrix& m) const;
+  /// micro-benchmarks ("bounds" phase, which rate the baseline; simulated,
+  /// or timed on this host when `host`) and the structural features
+  /// ("features" phase).
+  [[nodiscard]] Evaluation measure(const std::string& name, const CsrMatrix& m,
+                                   bool host = false) const;
+  /// The one plan builder behind plan() and tune(): the policy's plan, the
+  /// symmetric rider, the tuner.plan.* counters, the trace (with `extra`)
+  /// and the structure contract.
+  [[nodiscard]] OptimizationPlan build_plan(const Evaluation& e, const TuneOptions& opts,
+                                            std::vector<obs::NamedValue> extra = {}) const;
   /// Rate the candidates not yet in e.perf as one batch ("simulate" phase)
   /// and record the tuner.evaluate.* telemetry.
   void simulate(Evaluation& e, const CsrMatrix& m,
@@ -231,6 +246,7 @@ class Autotuner {
                                                    const FeatureClassifier& fc) const;
   [[nodiscard]] OptimizationPlan plan_oracle_impl(const Evaluation& e) const;
   [[nodiscard]] OptimizationPlan plan_trivial_impl(const Evaluation& e, bool combined) const;
+  [[nodiscard]] OptimizationPlan plan_host_impl(const Evaluation& e) const;
 
   MachineSpec machine_;
   ProfileThresholds thresholds_;

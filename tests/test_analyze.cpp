@@ -116,13 +116,27 @@ TEST(Tokenizer, SquashRemovesAllWhitespace) {
 // Suppressions
 // ---------------------------------------------------------------------------
 
+TEST(Tokenizer, CommentTextIsKeptPerPhysicalLine) {
+  const sa::LexedFile f = sa::lex("a.cpp",
+                                  "int a;  // tail\n"
+                                  "const char* s = \"// not a comment\";\n"
+                                  "/* one\n"
+                                  "   two */ int b;\n"
+                                  "#include \"x.hpp\"  // on a directive\n");
+  ASSERT_EQ(f.comment_lines.size(), 5u);
+  EXPECT_EQ(f.comment_lines[0], "// tail");
+  EXPECT_EQ(f.comment_lines[1], "");
+  EXPECT_EQ(f.comment_lines[2], "/* one");
+  EXPECT_EQ(f.comment_lines[3], "   two */");
+  EXPECT_EQ(f.comment_lines[4], "// on a directive");
+}
+
 TEST(Suppressions, SameLineAndLineAboveBothApply) {
-  const std::vector<std::string> lines = {
-      "int a;  // sparta-analyze: allow(purity.alloc)",
-      "// sparta-analyze: allow(purity.throw)",
-      "int b;",
-  };
-  sa::Suppressions supp{lines, "sparta-analyze"};
+  const sa::LexedFile f = sa::lex("a.cpp",
+                                  "int a;  // sparta-analyze: allow(purity.alloc)\n"
+                                  "// sparta-analyze: allow(purity.throw)\n"
+                                  "int b;\n");
+  sa::Suppressions supp{f.comment_lines};
   EXPECT_TRUE(supp.allowed("purity.alloc", 1));
   EXPECT_TRUE(supp.allowed("purity.throw", 3));
   EXPECT_FALSE(supp.allowed("purity.io", 1));
@@ -131,11 +145,10 @@ TEST(Suppressions, SameLineAndLineAboveBothApply) {
 }
 
 TEST(Suppressions, MultiRuleListAndUnusedTracking) {
-  const std::vector<std::string> lines = {
-      "// sparta-analyze: allow(purity.alloc, omp.default-none)",
-      "int a;",
-  };
-  sa::Suppressions supp{lines, "sparta-analyze"};
+  const sa::LexedFile f = sa::lex("a.cpp",
+                                  "// sparta-analyze: allow(purity.alloc, omp.default-none)\n"
+                                  "int a;\n");
+  sa::Suppressions supp{f.comment_lines};
   EXPECT_TRUE(supp.allowed("purity.alloc", 2));
   const auto unused = supp.unused();
   ASSERT_EQ(unused.size(), 1u);
@@ -144,8 +157,8 @@ TEST(Suppressions, MultiRuleListAndUnusedTracking) {
 }
 
 TEST(Suppressions, WrongTagIsIgnored) {
-  const std::vector<std::string> lines = {"int a;  // sparta-other: allow(purity.alloc)"};
-  sa::Suppressions supp{lines, "sparta-analyze"};
+  const sa::LexedFile f = sa::lex("a.cpp", "int a;  // sparta-other: allow(purity.alloc)\n");
+  sa::Suppressions supp{f.comment_lines};
   EXPECT_FALSE(supp.allowed("purity.alloc", 1));
 }
 
@@ -303,6 +316,21 @@ TEST(SuppressionRule, AllowSilencesAndUnusedIsReported) {
   ASSERT_TRUE(has_rule(f, "suppression.unused"));
   const auto rules = rules_of(f);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "suppression.unused"), 1);
+}
+
+TEST(SuppressionRule, MarkerInsideStringLiteralIsIgnored) {
+  // Neither literal is a comment: the allocation stays flagged, and the
+  // marker is not reported as an unused suppression either.
+  const auto f = analyze_one("kernels/k.cpp",
+                             "void f(int n) {\n"
+                             "  for (int i = 0; i < n; ++i) {\n"
+                             "    const char* s = \"sparta-analyze: allow(purity.alloc)\";\n"
+                             "    auto* p = new int;\n"
+                             "  }\n"
+                             "}\n"
+                             "const char* t = \"// sparta-analyze: allow(purity.io)\";\n");
+  EXPECT_TRUE(has_rule(f, "purity.alloc"));
+  EXPECT_FALSE(has_rule(f, "suppression.unused"));
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/validate.hpp"
+#include "common/statistics.hpp"
 #include "features/features.hpp"
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
@@ -485,6 +486,38 @@ TEST(Features, BitwiseEqualAcrossThreadCounts) {
                   std::bit_cast<std::uint64_t>(ref.v[idx]))
             << feature_name(static_cast<Feature>(f)) << " @" << threads;
       }
+    }
+  }
+}
+
+TEST(Features, FusedSummariesMatchSeparateStatistics) {
+  // extract_features folds min, max and the sum into one pass per scan array
+  // and reuses that mean for the deviation; every feature must equal the
+  // separate stats:: calls bit for bit.
+  std::vector<CsrMatrix> mats;
+  for (auto& nm : gen::make_suite()) mats.push_back(std::move(nm.matrix));
+  mats.push_back(crafted());  // has an empty row
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const CsrMatrix& m : mats) {
+    const FeatureVector fv = extract_features(m);
+    const RowScan scan = scan_rows(m);
+    const std::vector<std::pair<Feature, double>> want{
+        {Feature::kNnzMin, stats::min(scan.nnz)},
+        {Feature::kNnzMax, stats::max(scan.nnz)},
+        {Feature::kNnzAvg, stats::mean(scan.nnz)},
+        {Feature::kNnzSd, stats::stddev(scan.nnz)},
+        {Feature::kBwMin, stats::min(scan.bandwidth)},
+        {Feature::kBwMax, stats::max(scan.bandwidth)},
+        {Feature::kBwAvg, stats::mean(scan.bandwidth)},
+        {Feature::kBwSd, stats::stddev(scan.bandwidth)},
+        {Feature::kScatterAvg, stats::mean(scan.scatter)},
+        {Feature::kScatterSd, stats::stddev(scan.scatter)},
+        {Feature::kClusteringAvg, stats::mean(scan.clustering)},
+        {Feature::kMissesAvg, stats::mean(scan.misses)},
+    };
+    for (const auto& [f, value] : want) {
+      EXPECT_EQ(bits(fv[f]), bits(value))
+          << feature_name(f) << " of a " << m.nrows() << "-row matrix";
     }
   }
 }

@@ -52,8 +52,7 @@ std::vector<Finding> analyze_files(const std::vector<LexedFile>& files, const Co
   ctxs.reserve(files.size());
   std::set<std::string> rels;
   for (const LexedFile& f : files) {
-    FileCtx ctx{&f, Suppressions{f.raw_lines, cfg.tag}, module_of(f.rel),
-                is_header_path(f.rel)};
+    FileCtx ctx{&f, Suppressions{f.comment_lines}, module_of(f.rel), is_header_path(f.rel)};
     ctxs.push_back(std::move(ctx));
     rels.insert(f.rel);
   }

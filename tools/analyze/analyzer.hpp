@@ -38,8 +38,6 @@ struct Config {
   std::set<std::string> runtime_schedule_ok;  // schedule(runtime) legal here
 
   bool layering = true;  // run layering.* (off for trees with no module DAG)
-
-  std::string tag = "sparta-analyze";  // suppression-comment tag
 };
 
 /// The layering and rule scope for src/ (see DESIGN.md §12 for rationale,

@@ -125,8 +125,7 @@ std::optional<OmpDirectiveInfo> parse_omp_directive(const Directive& d) {
 
 OmpRegionTree build_region_tree(const LexedFile& file) {
   const Config cfg = default_config();
-  FileCtx ctx{&file, Suppressions{file.raw_lines, cfg.tag}, module_of(file.rel),
-              false};
+  FileCtx ctx{&file, Suppressions{file.comment_lines}, module_of(file.rel), false};
   std::vector<Finding> sink;
   OmpRegionTree tree;
   check_omp_sharing(ctx, cfg, sink, &tree);

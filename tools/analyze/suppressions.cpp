@@ -13,10 +13,10 @@ bool rule_char(char c) {
 
 }  // namespace
 
-Suppressions::Suppressions(const std::vector<std::string>& raw_lines, std::string_view tag) {
-  const std::string marker = std::string(tag) + ":";
-  for (std::size_t i = 0; i < raw_lines.size(); ++i) {
-    const std::string& line = raw_lines[i];
+Suppressions::Suppressions(const std::vector<std::string>& comment_lines) {
+  const std::string marker = std::string(kTag) + ":";
+  for (std::size_t i = 0; i < comment_lines.size(); ++i) {
+    const std::string& line = comment_lines[i];
     std::size_t pos = line.find(marker);
     if (pos == std::string::npos) continue;
     pos += marker.size();

@@ -6,11 +6,12 @@
 //     // sparta-<tool>: allow(rule[, rule]...)
 //
 // where <tool> is `analyze` here and `lint` for the Python linter, and each
-// rule matches [a-z0-9.-]+. A suppression applies to findings on its own
-// physical line or the line directly below it, so it can either trail the
-// offending statement or sit on its own line above. Suppressions that never
-// match a finding are themselves reported (rule `suppression.unused`) so
-// stale allowances cannot accumulate.
+// rule matches [a-z0-9.-]+. Only comment text counts: a marker inside a
+// string literal is neither a suppression nor an unused one. A suppression
+// applies to findings on its own physical line or the line directly below
+// it, so it can either trail the offending statement or sit on its own line
+// above. Suppressions that never match a finding are themselves reported
+// (rule `suppression.unused`) so stale allowances cannot accumulate.
 #pragma once
 
 #include <string>
@@ -21,9 +22,12 @@ namespace sparta::analyze {
 
 class Suppressions {
  public:
-  /// Scan `raw_lines` for `<tag>: allow(...)` comments (tag example:
-  /// "sparta-analyze").
-  Suppressions(const std::vector<std::string>& raw_lines, std::string_view tag);
+  /// The marker tag this tool reads.
+  static constexpr std::string_view kTag = "sparta-analyze";
+
+  /// Scan the per-line comment text (LexedFile::comment_lines) for
+  /// `<kTag>: allow(...)` markers.
+  explicit Suppressions(const std::vector<std::string>& comment_lines);
 
   /// True if `rule` is suppressed at 1-based `line`; marks the entry used.
   bool allowed(std::string_view rule, int line);

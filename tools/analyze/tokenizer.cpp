@@ -43,21 +43,6 @@ Spliced splice(std::string_view content) {
   return out;
 }
 
-std::vector<std::string> split_lines(std::string_view content) {
-  std::vector<std::string> lines;
-  std::string cur;
-  for (const char c : content) {
-    if (c == '\n') {
-      lines.push_back(std::move(cur));
-      cur.clear();
-    } else if (c != '\r') {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) lines.push_back(std::move(cur));
-  return lines;
-}
-
 // Raw-string prefixes: R, u8R, uR, UR, LR.
 bool raw_string_prefix(std::string_view ident) {
   return ident == "R" || ident == "u8R" || ident == "uR" || ident == "UR" || ident == "LR";
@@ -123,14 +108,24 @@ class Lexer {
     return line_[p < line_.size() ? p : line_.size() - 1];
   }
 
+  // Comments are skipped as code but their text is kept, per physical line,
+  // in comment_lines (the delimiters included).
+  void keep_comment_char(std::size_t p) {
+    const char c = s_[p];
+    if (c == '\n') return;
+    const auto line = static_cast<std::size_t>(line_at(p));
+    if (out_.comment_lines.size() < line) out_.comment_lines.resize(line);
+    out_.comment_lines[line - 1].push_back(c);
+  }
+
   void skip_line_comment() {
-    while (pos_ < s_.size() && s_[pos_] != '\n') ++pos_;
+    while (pos_ < s_.size() && s_[pos_] != '\n') keep_comment_char(pos_++);
   }
 
   void skip_block_comment() {
-    pos_ += 2;
-    while (pos_ + 1 < s_.size() && !(s_[pos_] == '*' && s_[pos_ + 1] == '/')) ++pos_;
-    pos_ = pos_ + 1 < s_.size() ? pos_ + 2 : s_.size();
+    const std::size_t end = s_.find("*/", pos_ + 2);
+    const std::size_t stop = end == std::string::npos ? s_.size() : end + 2;
+    while (pos_ < stop) keep_comment_char(pos_++);
   }
 
   // Ordinary string literal; escapes honoured, contents discarded.
@@ -325,7 +320,6 @@ class Lexer {
 LexedFile lex(std::string rel, std::string_view content) {
   LexedFile out;
   out.rel = std::move(rel);
-  out.raw_lines = split_lines(content);
   const Spliced spliced = splice(content);
   Lexer{out, spliced}.run();
   return out;

@@ -11,8 +11,9 @@
 //   - preprocessor directives as whole logical lines (continuations joined,
 //     comments stripped, whitespace collapsed), since OpenMP pragmas and
 //     includes are line-oriented;
-//   - the verbatim physical lines, which keep carrying the suppression
-//     comments (tools/analyze/suppressions.hpp).
+//   - the comment text of every physical line, the only text the
+//     suppression markers are read from (tools/analyze/suppressions.hpp),
+//     so a marker inside a string literal is not a suppression.
 #pragma once
 
 #include <string>
@@ -41,7 +42,8 @@ struct Directive {
 
 struct LexedFile {
   std::string rel;                     // path relative to the analysis root
-  std::vector<std::string> raw_lines;  // verbatim physical lines
+  std::vector<std::string> comment_lines;  // comment text per physical line
+                                           // (index = line - 1; "" when none)
   std::vector<Token> tokens;
   std::vector<Directive> directives;
 };

@@ -74,6 +74,7 @@ DEPRECATED_ENTRY_POINTS = (
     "spmv_with_colind",
     "spmv_sell",
     "spmm_sell",
+    "tune_host",  # Autotuner::tune with TunePolicy::kHostProfile
 )
 
 # Files where mentions of the names above are definitions rather than call

@@ -1,7 +1,8 @@
 // sparta_tune — command-line front end of the optimizer.
 //
 //   sparta_tune [--platform knc|knl|broadwell|host]
-//               [--strategy profile|feature|oracle|trivial-single|trivial-combined]
+//               [--strategy profile|feature|oracle|trivial-single|trivial-combined|
+//                profile-host]
 //               [--model model.txt] [--run] [--threads N]
 //               [--telemetry] [--trace FILE] (matrix.mtx | suite:<name>)
 //
@@ -9,7 +10,9 @@
 // optimizations, expected rate, preprocessing cost), and with --run executes
 // the optimized host kernel against the reference for validation and timing.
 // --strategy feature requires a model file from sparta_train (or falls back
-// to training a small corpus on the fly).
+// to training a small corpus on the fly). --strategy profile-host (with
+// --platform host only) measures the bounds and the shipped kernel on this
+// machine with --threads threads; its rate and t_pre are wall-clock figures.
 //
 // --trace FILE appends the full decision record as one JSON line (obs::
 // TuneTrace: features, bound ratios, classes, per-phase microseconds, plus
@@ -44,6 +47,7 @@ std::optional<sparta::TunePolicy> policy_by_name(const std::string& name) {
   if (name == "oracle") return TunePolicy::kOracle;
   if (name == "trivial-single") return TunePolicy::kTrivialSingle;
   if (name == "trivial-combined") return TunePolicy::kTrivialCombined;
+  if (name == "profile-host") return TunePolicy::kHostProfile;
   return std::nullopt;
 }
 
@@ -64,7 +68,7 @@ void write_trace(const std::string& path, const sparta::obs::TuneTrace& trace) {
 
 int main(int argc, char** argv) {
   using namespace sparta;
-  CliParser cli{{"run", "real", "telemetry", "help"},
+  CliParser cli{{"run", "telemetry", "help"},
                 {"platform", "strategy", "model", "threads", "corpus", "trace"}};
   try {
     cli.parse(argc, argv);
@@ -75,11 +79,12 @@ int main(int argc, char** argv) {
   if (cli.has("help") || cli.positional().size() != 1) {
     std::cerr << "usage: sparta_tune [--platform knc|knl|broadwell|host]\n"
                  "                   [--strategy profile|feature|oracle|trivial-single|\n"
-                 "                    trivial-combined] [--model file]\n"
-                 "                   [--real] [--run] [--threads N]\n"
+                 "                    trivial-combined|profile-host] [--model file]\n"
+                 "                   [--run] [--threads N]\n"
                  "                   [--telemetry] [--trace FILE] (matrix.mtx | suite:<name>)\n"
-                 "  --real       profile with real kernels and wall-clock timers on this\n"
-                 "               machine instead of the platform model\n"
+                 "  --strategy profile-host\n"
+                 "               profile with real kernels and wall-clock timers on this\n"
+                 "               machine (needs --platform host; --threads sets its cores)\n"
                  "  --telemetry  enable the obs registry (= SPARTA_TELEMETRY=1) and print\n"
                  "               its counters on exit\n"
                  "  --trace      append the tuning decision record as JSONL to FILE\n"
@@ -89,6 +94,23 @@ int main(int argc, char** argv) {
 
   if (cli.has("telemetry")) obs::set_enabled(true);
   const auto trace_path = cli.value("trace");
+
+  const std::string strategy = cli.value_or("strategy", "profile");
+  const auto policy = policy_by_name(strategy);
+  if (!policy) {
+    std::cerr << "error: unknown strategy '" << strategy << "'\n";
+    return 2;
+  }
+  const std::string platform = cli.value_or("platform", "knl");
+  const bool measured = *policy == TunePolicy::kHostProfile;
+  if (measured && (platform != "host" || cli.int_or("threads", 1) < 1)) {
+    std::cerr << "error: --strategy profile-host measures this machine; it needs "
+                 "--platform host and --threads >= 1\n";
+    return 2;
+  }
+  MachineSpec machine = platform_by_name(platform);
+  if (measured) machine.cores = cli.int_or("threads", machine.cores);
+  const Autotuner tuner{machine};
 
   const std::string source = cli.positional().front();
   const CsrMatrix matrix = source.rfind("suite:", 0) == 0
@@ -101,37 +123,6 @@ int main(int argc, char** argv) {
     if (!cli.has("telemetry")) return;
     obs::print_table(std::cout, obs::Registry::global().snapshot());
   };
-
-  if (cli.has("real")) {
-    // Host profiling path: measured bounds, real preprocessing and kernel
-    // times on this machine.
-    HostProfileOptions opts;
-    opts.threads = cli.int_or("threads", 0);
-    opts.name = source;
-    opts.collect_trace = trace_path.has_value() || obs::enabled();
-    const auto plan = tune_host(matrix, opts);
-    std::cout << "strategy:        " << plan.strategy << " (measured on this host)\n"
-              << "classes:         " << to_string(plan.classes) << "\n"
-              << "optimizations:   " << to_string(plan.optimizations) << "\n"
-              << "kernel variant:  " << plan.config.describe() << "\n"
-              << "measured rate:   " << Table::num(plan.gflops) << " GFLOP/s\n"
-              << "preprocessing:   " << Table::num(plan.t_pre_seconds * 1e3, 3)
-              << " ms (measured)\n";
-    if (trace_path && plan.trace) write_trace(*trace_path, *plan.trace);
-    dump_telemetry();
-    return 0;
-  }
-
-  const auto machine = platform_by_name(cli.value_or("platform", "knl"));
-  const Autotuner tuner{machine};
-  const auto evaluation = tuner.evaluate(source, matrix);
-
-  const std::string strategy = cli.value_or("strategy", "profile");
-  const auto policy = policy_by_name(strategy);
-  if (!policy) {
-    std::cerr << "error: unknown strategy '" << strategy << "'\n";
-    return 2;
-  }
 
   TuneOptions opts{.policy = *policy, .name = source};
   opts.collect_trace = trace_path.has_value() || obs::enabled();
@@ -152,7 +143,9 @@ int main(int argc, char** argv) {
     }();
     opts.classifier = &*fc;
   }
-  OptimizationPlan plan = tuner.plan(evaluation, opts);
+  std::optional<Autotuner::Evaluation> evaluation;
+  if (!measured) evaluation = tuner.evaluate(source, matrix);
+  const OptimizationPlan plan = measured ? tuner.tune(matrix, opts) : tuner.plan(*evaluation, opts);
 
   std::cout << "platform:        " << machine.name << " (" << machine.threads()
             << " threads)\n"
@@ -160,17 +153,21 @@ int main(int argc, char** argv) {
             << "classes:         " << to_string(plan.classes) << "\n"
             << "optimizations:   " << to_string(plan.optimizations) << "\n"
             << "kernel variant:  " << plan.config.describe() << "\n"
-            << "expected rate:   " << Table::num(plan.gflops) << " GFLOP/s (baseline "
-            << Table::num(evaluation.bounds.p_csr) << ")\n"
-            << "preprocessing:   " << Table::num(plan.t_pre_seconds * 1e3, 3) << " ms (model)\n";
+            << (measured ? "measured" : "expected") << " rate:   " << Table::num(plan.gflops)
+            << " GFLOP/s";
+  if (evaluation) std::cout << " (baseline " << Table::num(evaluation->bounds.p_csr) << ")";
+  std::cout << "\npreprocessing:   " << Table::num(plan.t_pre_seconds * 1e3, 3)
+            << (measured ? " ms (measured)\n" : " ms (model)\n");
 
   if (trace_path && plan.trace) {
-    // Attach the vendor baseline so the amortization analysis (Table V:
-    // N_iters,min = t_pre / (t_vendor - t_optimizer)) closes from the trace
-    // alone.
     obs::TuneTrace trace = *plan.trace;
-    const double vendor_gflops = vendor::vendor_csr_gflops(matrix, machine);
-    trace.extra.emplace_back("t_vendor_seconds", evaluation.seconds_at(vendor_gflops));
+    if (evaluation) {
+      // Attach the modeled vendor baseline so the amortization analysis
+      // (Table V: N_iters,min = t_pre / (t_vendor - t_optimizer)) closes
+      // from the trace alone.
+      const double vendor_gflops = vendor::vendor_csr_gflops(matrix, machine);
+      trace.extra.emplace_back("t_vendor_seconds", evaluation->seconds_at(vendor_gflops));
+    }
     write_trace(*trace_path, trace);
   }
 
